@@ -45,7 +45,6 @@ from repro.core.ti_engine import TIEngine
 from repro.experiments.datasets import build_dataset
 from repro.rrset.backend import ParallelBackend, SerialBackend, make_backend
 from repro.rrset.collection import RRCollection
-from repro.rrset.kernels import NUMBA_AVAILABLE
 
 try:  # package import (pytest from the repo root)
     from benchmarks.trajectory import append_entry
@@ -129,34 +128,10 @@ def bench_engine(ds, inst, rule: str, selector: str, name: str) -> float:
     return time.perf_counter() - t0
 
 
-def bench_kernels(inst) -> dict:
-    """numpy-vs-numba sampler throughput through the kernel seam.
-
-    Both kernels are bit-identical per seed, so this measures pure
-    implementation cost.  Without numba installed the "numba" spelling
-    runs the same loops *interpreted* (the parity fallback) — orders of
-    magnitude slower — so the set count is shrunk and the entry is
-    flagged ``numba_available: false`` rather than pretending the JIT
-    number was measured.
-    """
-    sets = WORKLOAD["sampler_sets"] if NUMBA_AVAILABLE else 2_000
-    out = {"numba_available": NUMBA_AVAILABLE, "sets": sets}
-    for kernel in ("numpy", "numba"):
-        backend = make_backend(inst.graph, inst.ad_probs[0], "serial", kernel=kernel)
-        backend.sample_batch_flat(200, np.random.default_rng(0))  # warm/JIT
-        t0 = time.perf_counter()
-        backend.sample_batch_flat(sets, np.random.default_rng(123))
-        rate = sets / (time.perf_counter() - t0)
-        out[kernel] = {"sampler_sets_per_s": round(rate, 1)}
-    out["numba"]["interpreted_fallback"] = not NUMBA_AVAILABLE
-    return out
-
-
 def run_benchmarks() -> dict:
     ds, inst = _build()
     sets_per_s, coll = bench_sampler(inst)
     cover_s = bench_mark_covered(coll)
-    kernels = bench_kernels(inst)
     csrm_s = bench_engine(ds, inst, "cs", "rate", "TI-CSRM")
     carm_s = bench_engine(ds, inst, "ca", "revenue", "TI-CARM")
     current = {
@@ -174,7 +149,6 @@ def run_benchmarks() -> dict:
         "workload": WORKLOAD,
         "seed_baseline": SEED_BASELINE,
         "current": current,
-        "kernels": kernels,
         "speedup_vs_seed": {
             "sampler": round(
                 current["sampler_sets_per_s"] / SEED_BASELINE["sampler_sets_per_s"], 2
@@ -264,12 +238,6 @@ def test_perf_hotpaths():
         "mark_covered_by",
         "ticsrm_end_to_end",
     }
-    kernels = report["kernels"]
-    assert kernels["numpy"]["sampler_sets_per_s"] > 0
-    assert kernels["numba"]["sampler_sets_per_s"] > 0
-    assert kernels["numba"]["interpreted_fallback"] == (
-        not kernels["numba_available"]
-    )
 
 
 def test_parallel_scaling():

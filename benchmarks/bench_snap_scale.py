@@ -14,7 +14,7 @@ format (the same shape as ``soc-Epinions1.txt``: comment header, one
    ``bytes_per_rr_set`` / peak-store accounting.
 
 The summary — node/arc counts, declared budget, spill status, measured
-bytes-per-RR-set, kernel, wall times — is appended (never overwritten)
+bytes-per-RR-set, wall times — is appended (never overwritten)
 to ``BENCH_snap_scale.json`` at the repo root.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_snap_scale.py [workdir]``
@@ -165,7 +165,6 @@ def run_benchmark(workdir: str | Path, workload: dict = FULL) -> dict:
             "cells": len(cells),
             "total_s": round(grid_s, 2),
             "revenues": [round(row["revenue"], 2) for row in cells],
-            "kernel": cells[0]["engine_spec"]["kernel"],
         },
         "memory": {
             "declared_rr_bytes_budget": workload["rr_bytes_budget"],

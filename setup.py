@@ -8,11 +8,7 @@ the ``setup.py develop`` path.
 
 Extras:
 
-* ``test``  — the test toolchain (pytest + hypothesis property suites);
-* ``numba`` — the optional JIT batch kernel (``kernel="numba"`` /
-  ``"auto"``).  The package imports and runs without it; the kernel
-  seam falls back to the bit-identical numpy reference
-  (``repro.rrset.kernels``).
+* ``test`` — the test toolchain (pytest + hypothesis property suites).
 """
 
 from setuptools import find_packages, setup
@@ -30,6 +26,5 @@ setup(
     install_requires=["numpy>=1.24"],
     extras_require={
         "test": ["pytest>=7", "hypothesis>=6"],
-        "numba": ["numba>=0.59"],
     },
 )

@@ -79,8 +79,6 @@ from repro.rrset import (
     RRCollection,
     sample_size,
     KPTEstimator,
-    KERNELS,
-    NUMBA_AVAILABLE,
     resolve_kernel,
     SamplerBackend,
     SerialBackend,
@@ -171,8 +169,6 @@ __all__ = [
     "RRCollection",
     "sample_size",
     "KPTEstimator",
-    "KERNELS",
-    "NUMBA_AVAILABLE",
     "resolve_kernel",
     "SamplerBackend",
     "SerialBackend",

@@ -188,7 +188,7 @@ class AllocationSession:
           not actually move, nothing is invalidated.
         * **Resampling is root-preserving.**  Each invalidated slot is
           redrawn on the new graph from its recorded root (the pinned
-          ``roots`` path through the kernel seam), continuing the
+          ``roots`` path through the batch sampler), continuing the
           store's persisted RNG stream; surviving slots are untouched.
           The root marginal therefore stays exactly uniform, and
           survivors are exact draws from the new RR distribution (their
@@ -233,7 +233,6 @@ class AllocationSession:
                     plan.new_graph,
                     workers,
                     counters=warm.counters,
-                    kernel=self.spec.kernel,
                 )
             except WorkerCrashError:
                 warm.pool_failed = True
@@ -260,7 +259,6 @@ class AllocationSession:
                 pool=warm.pool,
                 counters=warm.counters,
                 degraded=warm.pool_failed,
-                kernel=self.spec.kernel,
             )
             if warm.wrap_sampler is not None:
                 sampler = warm.wrap_sampler(sampler)
@@ -321,19 +319,17 @@ class AllocationSession:
         return self._warm
 
     def _pin_spec(self, spec: EngineSpec) -> EngineSpec:
-        # Live backends (sampler_backend/workers/kernel) and live stores
+        # Live backends (sampler_backend/workers) and live stores
         # (rr_bytes_budget) persist inside the warm state, so a per-solve
         # spec cannot flip them mid-session.
         if (
             spec.sampler_backend != self.spec.sampler_backend
             or spec.workers != self.spec.workers
-            or spec.kernel != self.spec.kernel
             or spec.rr_bytes_budget != self.spec.rr_bytes_budget
         ):
             spec = spec.override(
                 sampler_backend=self.spec.sampler_backend,
                 workers=self.spec.workers,
-                kernel=self.spec.kernel,
                 rr_bytes_budget=self.spec.rr_bytes_budget,
             )
         return spec

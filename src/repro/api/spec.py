@@ -24,11 +24,11 @@ and selector come from the :mod:`~repro.api.registry`) and per-call
 data such as ``blocked`` masks, which describe the query, not the
 engine configuration.
 
-Four fields are special inside an
+Three fields are special inside an
 :class:`~repro.api.session.AllocationSession` (and therefore inside
 the grid runner's ``warm_per_dataset`` execution mode, which drives
 every cell of a dataset through one session): ``sampler_backend``,
-``workers``, ``kernel`` and ``rr_bytes_budget`` are pinned by the
+``workers`` and ``rr_bytes_budget`` are pinned by the
 session's base spec — live sampler backends and RR stores persist
 inside the warm state, so per-solve specs cannot flip them
 mid-session.
@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.errors import SpecError
 from repro.rrset.backend import BACKENDS
-from repro.rrset.kernels import KERNELS
 from repro.rrset.tim import DEFAULT_THETA_CAP
 
 #: Fields whose values already serialize to JSON scalars unchanged.
@@ -59,7 +58,6 @@ _SCALAR_FIELDS = (
     "lazy_candidates",
     "sampler_backend",
     "workers",
-    "kernel",
     "rr_bytes_budget",
     "seed",
 )
@@ -87,7 +85,6 @@ class EngineSpec:
     lazy_candidates: bool = True
     sampler_backend: str = "serial"
     workers: int | None = None
-    kernel: str = "auto"
     rr_bytes_budget: int | None = None
     seed: int | None = None
 
@@ -105,10 +102,6 @@ class EngineSpec:
                 f"options: {BACKENDS}"
             )
         self._set_int("workers", minimum=0, optional=True)
-        if self.kernel not in KERNELS:
-            raise SpecError(
-                f"unknown kernel {self.kernel!r}; options: {KERNELS}"
-            )
         self._set_int("rr_bytes_budget", minimum=1, optional=True)
         # numpy's default_rng rejects negative seeds; fail here, not mid-solve.
         self._set_int("seed", minimum=0, optional=True)
@@ -224,7 +217,6 @@ class EngineSpec:
             lazy_candidates=self.lazy_candidates,
             sampler_backend=self.sampler_backend,
             workers=self.workers,
-            kernel=self.kernel,
             rr_bytes_budget=self.rr_bytes_budget,
             seed=self.seed,
         )

@@ -90,7 +90,6 @@ def _config(args) -> ExperimentConfig:
         workers=workers,
         share_samples=getattr(args, "share_samples", False),
         lazy_candidates=not getattr(args, "eager", False),
-        kernel=getattr(args, "kernel", None) or "auto",
         rr_bytes_budget=getattr(args, "rr_bytes_budget", 0) or 0,
     )
 
@@ -206,8 +205,6 @@ def cmd_grid(args) -> int:
         overrides["share_samples"] = True
     if getattr(args, "eager", False):
         overrides["lazy_candidates"] = False
-    if getattr(args, "kernel", None):
-        overrides["kernel"] = args.kernel
     if getattr(args, "rr_bytes_budget", 0):
         overrides["rr_bytes_budget"] = args.rr_bytes_budget
     mode = args.execution or spec.execution_mode
@@ -342,7 +339,7 @@ def cmd_serve(args) -> int:
     The solver loop runs on this (main) thread, which is what arms the
     SIGALRM per-query deadline (``--query-timeout``); the HTTP frontend
     runs on a background thread.  The engine config (accuracy, workers,
-    kernel, per-store byte budget) is fixed here for every pooled
+    per-store byte budget) is fixed here for every pooled
     session — queries choose datasets and marketplace axes only.
     """
     from repro.serve import ReproServer, ServeConfig
@@ -498,14 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable CELF-style lazy candidate caching (full rescans)",
     )
     common.add_argument(
-        "--kernel",
-        choices=("numpy", "numba", "auto"),
-        default="auto",
-        help="reverse-BFS batch kernel: 'numpy' (always available, parity "
-        "reference), 'numba' (JIT-compiled), or 'auto' (numba when "
-        "importable); bit-identical either way",
-    )
-    common.add_argument(
         "--rr-bytes-budget",
         type=int,
         default=0,
@@ -617,13 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--eager",
         action="store_true",
         help="disable lazy candidate caching in every cell",
-    )
-    p.add_argument(
-        "--kernel",
-        choices=("numpy", "numba", "auto"),
-        default=None,
-        help="batch-kernel override for every cell (bit-identical; "
-        "default: the spec's config, else 'auto')",
     )
     p.add_argument(
         "--rr-bytes-budget",
@@ -789,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the repo contract linter (AST rules R1-R7)",
+        help="run the repo contract linter (AST rules R1, R3-R7)",
         description="All arguments are forwarded to `python -m tools.lint` "
         "(try `repro lint -- --help`).",
     )

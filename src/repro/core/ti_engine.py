@@ -104,7 +104,6 @@ from repro.rrset.backend import (
     resolve_backend,
 )
 from repro.rrset.collection import RRCollection, SharedRRCollection, SharedRRStore
-from repro.rrset.kernels import resolve_kernel
 from repro.rrset.tim import DEFAULT_THETA_CAP, KPTEstimator, sample_size
 from repro.core.allocation import Allocation, AllocationResult
 from repro.core.instance import RMInstance
@@ -267,7 +266,6 @@ class TIEngine:
         lazy_candidates: bool = True,
         sampler_backend: str = "serial",
         workers: int | None = None,
-        kernel: str = "auto",
         rr_bytes_budget: int | None = None,
         blocked=None,
         seed=None,
@@ -277,7 +275,6 @@ class TIEngine:
         validate_rules(candidate_rule, selector)
         try:
             sampler_backend, workers = resolve_backend(sampler_backend, workers)
-            kernel = resolve_kernel(kernel)
         except EstimationError as exc:
             raise AllocationError(str(exc)) from None
         if rr_bytes_budget is not None and rr_bytes_budget < 1:
@@ -315,10 +312,8 @@ class TIEngine:
         # SharedGraphPool shared by every ad of this run.
         self.sampler_backend = sampler_backend
         self.workers = workers
-        # Batch-kernel seam (resolved: "numpy" or "numba") and per-store
-        # RAM budget (None = unbounded); both flow into every backend /
+        # Per-store RAM budget (None = unbounded); flows into every
         # SharedRRStore this run creates.
-        self.kernel = kernel
         self.rr_bytes_budget = (
             None if rr_bytes_budget is None else int(rr_bytes_budget)
         )
@@ -381,7 +376,6 @@ class TIEngine:
                 pool=pool,
                 counters=self._fault_counters,
                 degraded=degraded,
-                kernel=self.kernel,
             )
         else:
             sampler = make_backend(
@@ -389,7 +383,6 @@ class TIEngine:
                 inst.ad_probs[ad],
                 self.sampler_backend,
                 workers=self.workers,
-                kernel=self.kernel,
             )
         if self._warm is not None and self._warm.wrap_sampler is not None:
             sampler = self._warm.wrap_sampler(sampler)
@@ -416,7 +409,6 @@ class TIEngine:
                     self.instance.graph,
                     self.workers,
                     counters=self._fault_counters,
-                    kernel=self.kernel,
                 )
             except WorkerCrashError:
                 failed = True
@@ -787,7 +779,6 @@ class TIEngine:
                 "selector": getattr(self.selector, "__name__", self.selector),
                 "sampler_backend": self.sampler_backend,
                 "workers": self.workers,
-                "kernel": self.kernel,
                 # Measured storage accounting (docs/ARCHITECTURE.md §2):
                 # narrowed-dtype member bytes, spill state and the
                 # per-set cost the manifest rows surface.

@@ -44,10 +44,6 @@ class ExperimentConfig:
     # any workers > 1 upgrades "serial" to "parallel".
     sampler_backend: str = "serial"
     workers: int = 0
-    # Batch-kernel seam (repro.rrset.kernels): "numpy", "numba" or
-    # "auto" (numba when importable).  Bit-identical either way, so it
-    # never changes results — only throughput.
-    kernel: str = "auto"
     # RAM budget (bytes) per shared RR store; 0 = unbounded.  Past it
     # the store's member array spills to a temp-file memmap
     # (docs/ARCHITECTURE.md §2), keeping real-crawl grids inside a
@@ -86,7 +82,6 @@ class ExperimentConfig:
             lazy_candidates=self.lazy_candidates,
             sampler_backend=self.sampler_backend,
             workers=self.workers or None,
-            kernel=self.kernel,
             rr_bytes_budget=self.rr_bytes_budget or None,
             seed=self.seed if seed is None else int(seed),
         )

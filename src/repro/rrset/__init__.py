@@ -1,12 +1,6 @@
 """Reverse-reachable set machinery (Borgs et al.; Tang et al. TIM)."""
 
-from repro.rrset.sampler import RRSampler, sample_batch_flat_kernel
-from repro.rrset.kernels import (
-    KERNELS,
-    NUMBA_AVAILABLE,
-    resolve_kernel,
-    sample_batch_flat_kernel_numba,
-)
+from repro.rrset.sampler import RRSampler, resolve_kernel, sample_batch_flat_kernel
 from repro.rrset.backend import (
     BACKENDS,
     ParallelBackend,
@@ -33,9 +27,6 @@ from repro.rrset.tim import (
 __all__ = [
     "RRSampler",
     "sample_batch_flat_kernel",
-    "sample_batch_flat_kernel_numba",
-    "KERNELS",
-    "NUMBA_AVAILABLE",
     "resolve_kernel",
     "BACKENDS",
     "SamplerBackend",

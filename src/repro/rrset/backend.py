@@ -92,7 +92,6 @@ from repro import faults as _faults
 from repro._rng import as_generator
 from repro.errors import EstimationError, PoolDegradedError, WorkerCrashError
 from repro.graph.digraph import DiGraph
-from repro.rrset.kernels import resolve_batch_kernel, resolve_kernel
 from repro.rrset.sampler import (
     DEFAULT_CHUNK_BYTES,
     RRSampler,
@@ -228,13 +227,10 @@ class SerialBackend(SamplerBackend):
     Bit-identical to the bare sampler for every method and RNG stream
     (the width computation is the shared :func:`batch_widths` on both
     sides); exists so code written against the seam pays nothing for it.
-    The ``kernel`` seam (:mod:`repro.rrset.kernels`) passes straight
-    through to the sampler; both kernels are bit-identical per seed.
     """
 
-    def __init__(self, graph: DiGraph, probs, *, kernel: str = "auto") -> None:
-        self._sampler = RRSampler(graph, probs, kernel=kernel)
-        self.kernel = self._sampler.kernel
+    def __init__(self, graph: DiGraph, probs) -> None:
+        self._sampler = RRSampler(graph, probs)
         self.graph = graph
         self.probs = np.asarray(probs, dtype=np.float64)
 
@@ -277,7 +273,6 @@ def _worker_main(
     result_queue,
     topo: tuple[str, str, int, int],
     chunk_bytes: int,
-    kernel: str = "numpy",
 ) -> None:  # pragma: no cover - runs in child processes
     """Worker loop: attach shared CSR views, sample shards until told to stop.
 
@@ -289,13 +284,8 @@ def _worker_main(
     ``None`` in production; chaos tests inject ``("kill",)`` (the worker
     exits mid-batch without answering) or ``("delay", seconds)`` (the
     worker sleeps before sampling, simulating a hang).
-
-    *kernel* arrives pre-resolved (``"numpy"``/``"numba"``) from the
-    pool; the implementation function is looked up once here, so a numba
-    worker JIT-compiles at most once per process, on its first shard.
     """
     indptr_name, tails_name, n, m = topo
-    kernel_fn = resolve_batch_kernel(kernel)
     segments = []
     try:
         indptr_shm = _attach_shm(indptr_name)
@@ -321,7 +311,7 @@ def _worker_main(
                     probs_cache[prob_name] = np.ndarray(
                         (m,), dtype=np.float64, buffer=shm.buf
                     )
-                members, indptr = kernel_fn(
+                members, indptr = sample_batch_flat_kernel(
                     n,
                     in_indptr,
                     in_tails,
@@ -467,12 +457,6 @@ class SharedGraphPool:
         Optional :class:`repro.faults.FaultPlan` consulted at the
         ``worker.kill`` / ``shard.delay`` / ``shm.attach`` seams; when
         ``None`` the globally installed plan (usually none) applies.
-    kernel:
-        Batch-kernel seam (:mod:`repro.rrset.kernels`), resolved once
-        here and handed to every worker at spawn, so a numba pool
-        compiles once per worker process.  Kernels are bit-identical,
-        so recovery (respawn/re-dispatch) never changes output either
-        way.
     """
 
     def __init__(
@@ -487,7 +471,6 @@ class SharedGraphPool:
         poll_s: float = 0.25,
         counters: dict | None = None,
         faults=None,
-        kernel: str = "auto",
     ) -> None:
         if workers < 1:
             raise EstimationError(f"workers must be >= 1, got {workers}")
@@ -495,7 +478,6 @@ class SharedGraphPool:
             raise EstimationError("cannot sample RR sets from an empty graph")
         self.graph = graph
         self.workers = int(workers)
-        self.kernel = resolve_kernel(kernel)
         self.chunk_bytes = int(chunk_bytes)
         self.heartbeat_s = float(heartbeat_s)
         self.max_respawns = (
@@ -543,7 +525,6 @@ class SharedGraphPool:
                 self._result_queue,
                 self._topo,
                 self.chunk_bytes,
-                self.kernel,
             ),
             daemon=True,
         )
@@ -849,13 +830,11 @@ class ParallelBackend(SamplerBackend):
         counters: dict | None = None,
         degraded: bool = False,
         faults=None,
-        kernel: str = "auto",
     ) -> None:
         if graph.n == 0:
             raise EstimationError("cannot sample RR sets from an empty graph")
         self.graph = graph
         self.probs = validate_edge_probs(graph, probs)
-        self.kernel = resolve_kernel(kernel)
         self._probs_in: np.ndarray | None = None  # lazy in-CSR permutation
         self._degraded = bool(degraded)
         self._closed = False
@@ -864,11 +843,6 @@ class ParallelBackend(SamplerBackend):
         if pool is not None:
             if pool.graph is not graph:
                 raise EstimationError("pool was built over a different graph")
-            if pool.kernel != self.kernel:
-                raise EstimationError(
-                    f"pool runs kernel {pool.kernel!r}, backend wants "
-                    f"{self.kernel!r}; share pools only across one kernel"
-                )
             self.workers = pool.workers
             self._pool = pool
             self._owns_pool = False
@@ -893,7 +867,6 @@ class ParallelBackend(SamplerBackend):
                         self.workers,
                         counters=self.fault_counters,
                         faults=faults,
-                        kernel=self.kernel,
                     )
                     self._owns_pool = True
                 except WorkerCrashError:
@@ -912,7 +885,7 @@ class ParallelBackend(SamplerBackend):
             # delegate, bit-identically to SerialBackend.  (A *degraded*
             # backend instead keeps the shard-plan streams, staying
             # bit-identical to the pooled output it replaces.)
-            self._serial = RRSampler(graph, self.probs, kernel=self.kernel)
+            self._serial = RRSampler(graph, self.probs)
 
     @property
     def degraded(self) -> bool:
@@ -937,8 +910,8 @@ class ParallelBackend(SamplerBackend):
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Run the shard plan in-process — the degraded-mode executor.
 
-        Exactly what the workers would have computed: the configured
-        kernel over the in-CSR arrays with each shard's own generator
+        Exactly what the workers would have computed: the batch kernel
+        over the in-CSR arrays with each shard's own generator
         (and, on the incremental-resample path, each shard's pinned
         roots).
         """
@@ -946,12 +919,11 @@ class ParallelBackend(SamplerBackend):
             self._probs_in = np.ascontiguousarray(
                 self.probs[self.graph.in_edge_ids]
             )
-        kernel_fn = resolve_batch_kernel(self.kernel)
         g = self.graph
         if shard_roots is None:
             shard_roots = [None] * len(counts)
         return [
-            kernel_fn(
+            sample_batch_flat_kernel(
                 g.n,
                 g.in_indptr,
                 g.in_tails,
@@ -1045,7 +1017,6 @@ def make_backend(
     counters: dict | None = None,
     degraded: bool = False,
     faults=None,
-    kernel: str = "auto",
 ) -> SamplerBackend:
     """Build a :class:`SamplerBackend` from a spec string.
 
@@ -1055,13 +1026,11 @@ def make_backend(
     parallel (this is what lets a single ``--workers`` CLI flag select
     the backend), and a parallel spec without a worker count uses
     :func:`default_workers`.  Passing an existing *pool* implies
-    parallel regardless of the spec.  *kernel* selects the batch-kernel
-    implementation (:mod:`repro.rrset.kernels`) on either backend;
-    kernels are bit-identical, so it never changes results.
+    parallel regardless of the spec.
     """
     backend, workers = resolve_backend(backend, workers)
     if backend == "serial" and pool is None:
-        return SerialBackend(graph, probs, kernel=kernel)
+        return SerialBackend(graph, probs)
     return ParallelBackend(
         graph,
         probs,
@@ -1070,5 +1039,4 @@ def make_backend(
         counters=counters,
         degraded=degraded,
         faults=faults,
-        kernel=kernel,
     )

@@ -571,8 +571,8 @@ class SharedRRStore:
     def roots(self) -> np.ndarray:
         """The recorded root of every stored set (``int64[size]``).
 
-        A sampled RR set's first member is its root (the batch kernels
-        emit the root first, then each level's fresh members;
+        A sampled RR set's first member is its root (the batch kernel
+        emits the root first, then each level's fresh members;
         docs/ARCHITECTURE.md §14) and sets are never empty, so the roots
         are exactly ``members[indptr[:-1]]``.  This *is* the per-set
         traversal record: together with membership it reproduces the

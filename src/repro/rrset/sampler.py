@@ -38,21 +38,12 @@ import numpy as np
 from repro._rng import as_generator
 from repro.errors import EstimationError
 from repro.graph.digraph import DiGraph
-from repro.rrset.kernels import (
-    KERNELS,
-    NUMBA_AVAILABLE,
-    resolve_batch_kernel,
-    resolve_kernel,
-)
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
-    "KERNELS",
-    "NUMBA_AVAILABLE",
     "RRSampler",
     "batch_chunk_size",
     "batch_widths",
-    "resolve_batch_kernel",
     "resolve_kernel",
     "sample_batch_flat_kernel",
     "validate_edge_probs",
@@ -78,6 +69,19 @@ def validate_edge_probs(graph: DiGraph, probs) -> np.ndarray:
     if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
         raise EstimationError("edge probabilities must lie in [0, 1]")
     return probs
+
+
+def resolve_kernel(kernel: str | None) -> str:
+    """Name the batch kernel a spelling selects: always ``"numpy"``.
+
+    :func:`sample_batch_flat_kernel` is the only kernel.  ``None``,
+    ``"numpy"`` and ``"auto"`` are accepted because the repository
+    benchmark (``perfbench/``) still records and passes the name; any
+    other spelling raises :class:`~repro.errors.EstimationError`.
+    """
+    if kernel not in (None, "numpy", "auto"):
+        raise EstimationError(f"unknown kernel {kernel!r}; the only kernel is 'numpy'")
+    return "numpy"
 
 
 def batch_widths(
@@ -213,10 +217,8 @@ class RRSampler:
     probs:
         Ad-specific arc probabilities in canonical edge order (Eq. 1).
     kernel:
-        Batch-kernel seam: ``"numpy"``, ``"numba"`` or ``"auto"``
-        (default; numba when importable).  Both kernels are
-        bit-identical per seed — see :mod:`repro.rrset.kernels` — so
-        this only selects an implementation, never a distribution.
+        Checked by :func:`resolve_kernel` and otherwise ignored; kept
+        because ``perfbench/`` still passes it.
 
     Notes
     -----
@@ -225,16 +227,15 @@ class RRSampler:
     uniform draw plus one coin-flip vector per visited node.
     """
 
-    __slots__ = ("graph", "probs_in", "kernel", "_in_indptr", "_in_tails", "_batch_kernel")
+    __slots__ = ("graph", "probs_in", "_in_indptr", "_in_tails")
 
-    def __init__(self, graph: DiGraph, probs, *, kernel: str = "auto") -> None:
+    def __init__(self, graph: DiGraph, probs, *, kernel: str | None = None) -> None:
+        resolve_kernel(kernel)
         probs = validate_edge_probs(graph, probs)
         self.graph = graph
         self.probs_in = np.ascontiguousarray(probs[graph.in_edge_ids])
-        self.kernel = resolve_kernel(kernel)
         self._in_indptr = graph.in_indptr
         self._in_tails = graph.in_tails
-        self._batch_kernel = resolve_batch_kernel(self.kernel)
 
     def sample(self, rng=None, target: int | None = None) -> np.ndarray:
         """Draw one RR set; returns the member node ids (target included).
@@ -311,8 +312,7 @@ class RRSampler:
         contiguous).  This differs from :meth:`sample`'s per-node
         stream but realizes the same lazy-arc distribution; seeded runs
         are fully deterministic.  The actual work happens in
-        :func:`sample_batch_flat_kernel` (or its bit-identical numba
-        twin, per the ``kernel`` seam), which parallel workers invoke
+        :func:`sample_batch_flat_kernel`, which parallel workers invoke
         directly over shared-memory CSR views.
 
         *roots*, when given, pins each set's root and skips the root
@@ -324,7 +324,7 @@ class RRSampler:
         rng = as_generator(rng)
         if self.graph.n == 0:
             raise EstimationError("cannot sample an RR set from an empty graph")
-        return self._batch_kernel(
+        return sample_batch_flat_kernel(
             self.graph.n,
             self._in_indptr,
             self._in_tails,

@@ -64,7 +64,7 @@ class SessionPool:
     config:
         The daemon's :class:`ExperimentConfig`; its compiled
         :class:`~repro.api.spec.EngineSpec` becomes every session's base
-        spec, pinning backend/workers/kernel/``rr_bytes_budget`` for the
+        spec, pinning backend/workers/``rr_bytes_budget`` for the
         pool's lifetime.
     bytes_budget:
         Global cap on the summed measured ``store_bytes`` across all

@@ -7,7 +7,7 @@ plus the per-query axes a warm
 :class:`~repro.api.session.AllocationSession` re-solves cheaply:
 algorithm, ``h``, budget, CPE, incentive model, α, TI-CSRM window and
 the RNG seed.  Deliberately *absent* are engine-accuracy knobs (``eps``,
-``theta_cap``, backend, workers, kernel, byte budgets): those are fixed
+``theta_cap``, backend, workers, byte budgets): those are fixed
 by the daemon's :class:`~repro.experiments.config.ExperimentConfig` at
 startup, because a session pins them for its lifetime — a query that
 could flip them would silently fork the pool key space.

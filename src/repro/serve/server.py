@@ -22,13 +22,19 @@ A :class:`ReproServer` is two cooperating halves over one
   belongs to the per-session worker pools, not to concurrent solver
   threads.
 
-**Determinism.**  A query's result depends only on
-``(dataset entry, query axes, effective seed, daemon config)`` — never
-on queue order, pool state, or which sessions were evicted — because a
-warm solve adopts the same RR sets a cold share-samples solve would
-draw (docs/ARCHITECTURE.md §9).  The effective seed is echoed in every
-response, so any served allocation can be reproduced offline with
-``repro.solve``.
+**Determinism.**  A query's answer depends on the query (dataset
+entry, axes, effective seed), the daemon config, and its pool key's
+solve history since that key's session opened.  The session keeps one
+shared RR store and one RNG stream per probability family: the first
+query fills the store from its own seed, and later queries adopt those
+sets instead of drawing from theirs, so a later query can return an
+earlier query's allocation and need not equal a cold solve with its
+own seed.  What holds: a fresh session replaying the key's history in
+``solve_index`` order (echoed in each response's ``serve`` block)
+reproduces every answer byte for byte, and the first query on a key
+equals a cold ``share_samples=True`` solve (docs/ARCHITECTURE.md §9).
+Eviction and quarantine end a history; the key's next query starts a
+new one.
 
 **Timeouts.**  Each query runs under the PR 6 cell-deadline machinery
 (:func:`repro.experiments.grid._cell_deadline`, SIGALRM-based, active
@@ -74,7 +80,7 @@ class ServeConfig:
     """Startup configuration of one :class:`ReproServer`.
 
     ``config`` fixes the engine side (accuracy, backend, workers,
-    kernel, per-store byte budget) for every session the daemon opens;
+    per-store byte budget) for every session the daemon opens;
     queries cannot override it — see :mod:`repro.serve.schema`.
     ``bytes_budget`` is the *global* cap over all pooled sessions'
     measured store bytes (the CLI's ``--serve-bytes-budget``), distinct

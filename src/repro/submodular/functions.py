@@ -55,6 +55,22 @@ class ModularFunction(SetFunction):
     def evaluate(self, subset: frozenset) -> float:
         return sum(self.weights[x] for x in subset)
 
+    def marginal(self, element: int, subset) -> float:
+        """``w_element`` (0 if already in *subset*), exactly.
+
+        The generic ``f(S ∪ {e}) − f(S)`` cancels catastrophically when
+        ``w_e`` is tiny next to ``f(S)``, which made curvature read
+        above 0 for modular functions.
+        """
+        subset = frozenset(int(x) for x in subset)
+        element = int(element)
+        if element in subset:
+            return 0.0
+        extra = (subset | {element}) - self.ground_set
+        if extra:
+            raise ValueError(f"elements {sorted(extra)} outside the ground set")
+        return self.weights[element]
+
 
 class CoverageFunction(SetFunction):
     """``f(S) = |∪_{x∈S} cover(x)|`` — the canonical monotone submodular function.

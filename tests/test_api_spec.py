@@ -119,7 +119,7 @@ class TestEngineKwargs:
         assert set(kwargs) == {
             "eps", "ell", "window", "theta_cap", "opt_lower",
             "kpt_max_samples", "share_samples", "lazy_candidates",
-            "sampler_backend", "workers", "kernel", "rr_bytes_budget",
+            "sampler_backend", "workers", "rr_bytes_budget",
             "seed",
         }
         # Tuples decay to lists so the engine's isinstance checks hold.

@@ -25,18 +25,13 @@ possible.  This suite locks each claim:
 * **Cold-vs-incremental allocation parity** on seeded TI-CSRM /
   TI-CARM runs, within CI tolerance.
 * **Golden seeded allocations** for the mutated path across
-  kernel × backend × spill.
+  backend × spill.
 * **Mutation-in-flight faults**: a worker killed during the
   invalidation resample recovers bit-identically; the ``mutate.delay``
   seam fires once per resample batch and never on a no-op update.
 * **Spill → invalidate → query**: the inverted index and
   ``sets_containing`` stay consistent with membership after a memmap
   spill followed by a partial ``replace_sets``.
-
-The CI dynamic-parity job runs this file on both kernel legs
-(``REPRO_TEST_KERNEL`` parametrizes nothing here directly — the golden
-class sweeps kernels explicitly, and the kernels are bit-identical per
-seed, so every other test covers both legs by construction).
 """
 
 from __future__ import annotations
@@ -303,7 +298,7 @@ class TestSessionIncremental:
         """An update whose changed heads appear in no stored set leaves
         the store bit-identical to a cold same-seed resample on the
         *new* graph: no set ever examines a changed arc, so the two
-        kernel runs consume identical streams."""
+        sampler runs consume identical streams."""
         graph = erdos_renyi(150, 0.02, seed=44)
         probs = np.random.default_rng(45).random(graph.m) * 0.4
         sampler = RRSampler(graph, probs)
@@ -374,7 +369,7 @@ class TestAllocationParity:
 
 # ----------------------------------------------------------------------
 # 4. Golden seeded allocations: the mutated path across
-#    kernel × backend × spill
+#    backend × spill
 # ----------------------------------------------------------------------
 def _mutated_alloc(**overrides):
     graph, inst = _er_instance(n=90, p=0.05, seed=51)
@@ -398,19 +393,16 @@ def _mutated_alloc(**overrides):
 class TestGoldenMutatedPath:
     @pytest.fixture(scope="class")
     def reference(self):
-        return _mutated_alloc(kernel="numpy")
+        return _mutated_alloc()
 
     @pytest.mark.parametrize(
         "overrides, expects_spill",
         [
-            ({"kernel": "numba"}, False),
-            ({"kernel": "numpy", "rr_bytes_budget": 1}, True),
-            ({"kernel": "numba", "rr_bytes_budget": 1}, True),
+            ({"rr_bytes_budget": 1}, True),
             # workers == 1 parallel delegates to the serial stream.
-            ({"kernel": "numpy", "sampler_backend": "parallel",
-              "workers": 1}, False),
+            ({"sampler_backend": "parallel", "workers": 1}, False),
         ],
-        ids=["numba", "numpy-spill", "numba-spill", "parallel-w1"],
+        ids=["numpy-spill", "parallel-w1"],
     )
     def test_matches_numpy_serial_golden(
         self, reference, overrides, expects_spill
@@ -426,14 +418,11 @@ class TestGoldenMutatedPath:
     @pytest.mark.slow
     def test_parallel_pool_deterministic(self):
         """The real worker pool consumes its own documented shard
-        stream; the invariant is per-seed determinism and kernel
-        agreement through a mutation, not equality with serial."""
+        stream; the invariant is per-seed determinism through a
+        mutation, not equality with serial."""
         first = _mutated_alloc(sampler_backend="parallel", workers=2)
         second = _mutated_alloc(sampler_backend="parallel", workers=2)
-        numba = _mutated_alloc(
-            sampler_backend="parallel", workers=2, kernel="numba"
-        )
-        assert first[:2] == second[:2] == numba[:2]
+        assert first[:2] == second[:2]
         assert first[2]["invalidated_sets"] == second[2]["invalidated_sets"]
 
 

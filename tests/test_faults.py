@@ -29,7 +29,6 @@ import pytest
 
 from repro.errors import (
     CellTimeoutError,
-    EstimationError,
     FaultInjectedError,
     PoolDegradedError,
     SpecError,
@@ -253,55 +252,6 @@ class TestWorkerSupervision:
             pool.close()
         assert np.array_equal(reference[0], out[0])
         assert np.array_equal(reference[1], out[1])
-
-    def test_killed_worker_recovery_is_kernel_agnostic(self, mid_graph):
-        # Recovery must stay bit-identical across the kernel seam: a
-        # numba-kernel pool that loses a worker mid-batch still matches
-        # the healthy numpy-kernel reference exactly (the shard plan,
-        # not the kernel or the process topology, defines the streams).
-        g, probs = mid_graph
-        reference = self._healthy(mid_graph)
-        plan = FaultPlan([FaultRule(seam="worker.kill", at=0)])
-        with ParallelBackend(
-            g, probs, workers=POOL_WORKERS, faults=plan, kernel="numba"
-        ) as backend:
-            out = backend.sample_batch_flat(400, np.random.default_rng(21))
-            assert not backend.degraded
-            assert backend.fault_counters["worker_respawns"] >= 1
-        assert plan.stats["worker.kill"]["fired"] == 1
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
-
-    def test_hung_worker_recovery_is_kernel_agnostic(self, mid_graph):
-        g, probs = mid_graph
-        reference = self._healthy(mid_graph)
-        plan = FaultPlan([FaultRule(seam="shard.delay", at=0, delay_s=5.0)])
-        pool = SharedGraphPool(
-            g,
-            POOL_WORKERS,
-            heartbeat_s=0.4,
-            poll_s=0.1,
-            faults=plan,
-            kernel="numba",
-        )
-        try:
-            backend = ParallelBackend(g, probs, pool=pool, kernel="numba")
-            out = backend.sample_batch_flat(400, np.random.default_rng(21))
-            assert pool.counters["worker_respawns"] >= POOL_WORKERS
-            assert not backend.degraded
-        finally:
-            pool.close()
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
-
-    def test_pool_kernel_mismatch_rejected(self, mid_graph):
-        g, probs = mid_graph
-        pool = SharedGraphPool(g, POOL_WORKERS, kernel="numpy")
-        try:
-            with pytest.raises(EstimationError, match="one kernel"):
-                ParallelBackend(g, probs, pool=pool, kernel="numba")
-        finally:
-            pool.close()
 
     def test_degraded_backend_close_is_idempotent(self, mid_graph):
         g, probs = mid_graph

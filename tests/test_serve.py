@@ -24,12 +24,20 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.api.session import AllocationSession
 from repro.errors import ServeError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import _cell_dataset, session_group_key
 from repro.experiments.harness import run_algorithm
 from repro.faults import FaultPlan, FaultRule, fault_plan
-from repro.serve import QueryRequest, ReproServer, ServeConfig, SessionPool, pool_key
+from repro.serve import (
+    QueryRequest,
+    ReproServer,
+    ServeConfig,
+    SessionPool,
+    pool_key,
+    result_payload,
+)
 from repro.serve import client as serve_client
 
 #: Cheap estimator settings: every serve test solves tiny analogs.
@@ -314,6 +322,34 @@ class TestServerIntegration:
             # The daemon still serves after rejections.
             ok = serve_client.query(addr, dataset=dict(ENTRY), seed=2)
             assert ok["status"] == "ok"
+
+    def test_answer_follows_pool_key_solve_history(self):
+        """A seed-2 query after a seed-1 query on the same pool key adopts
+        the RR sets the seed-1 query drew: it returns the seed-1
+        allocation, exactly as a fresh session replaying seeds [1, 2] in
+        solve_index order does."""
+        axes = dict(dataset=dict(ENTRY), algorithm="TI-CSRM")
+        with running_server() as server:
+            first = serve_client.query(server.address, seed=1, **axes)
+            second = serve_client.query(server.address, seed=2, **axes)
+
+        assert second["serve"]["solve_index"] == 1
+        assert second["allocation"] == first["allocation"]
+
+        dataset = _cell_dataset(dict(ENTRY), memo={})
+        instance = dataset.build_instance(incentive_model="linear", alpha=1.0)
+        with AllocationSession(
+            dataset.graph, spec=CFG.engine_spec(opt_lower="kpt")
+        ) as session:
+            replay = [
+                run_algorithm(
+                    "TI-CSRM", dataset, instance, CFG, seed=seed, session=session
+                )
+                for seed in (1, 2)
+            ]
+        request = QueryRequest.from_dict({**axes, "seed": 2})
+        replayed = result_payload(request, replay[1], effective_seed=2)
+        assert _comparable(json.loads(json.dumps(replayed))) == _comparable(second)
 
 
 # ----------------------------------------------------------------------

@@ -330,7 +330,6 @@ class TestAccountingSurfaces:
                     "theta_cap": 120,
                     "share_samples": True,
                     "rr_bytes_budget": 1,
-                    "kernel": "numba",
                 },
             }
         )
@@ -342,7 +341,6 @@ class TestAccountingSurfaces:
             assert memory["rr_bytes_budget"] == 1
             assert memory["spilled_stores"] >= 1
             assert memory["bytes_per_rr_set"] > 0
-            assert row["engine_spec"]["kernel"] == "numba"
             assert row["engine_spec"]["rr_bytes_budget"] == 1
         clear_grid_caches()
 

@@ -1,6 +1,6 @@
 """``repro lint`` — AST-based contract linter for this repo's invariants.
 
-The determinism, kernel-purity and resource-lifecycle guarantees that
+The determinism and resource-lifecycle guarantees that
 the parity/chaos test suites check *dynamically* are enforced here
 *statically*, so third-party-shaped code entering through the registry
 and session seams fails fast instead of silently breaking bit-identical

@@ -11,7 +11,7 @@ A :class:`Rule` inspects source (usually its :mod:`ast`) and yields
 
 Everything here is purely syntactic: no file under lint is imported,
 so the linter runs on any interpreter with nothing but the stdlib —
-including hosts where numba/numpy extras are absent.
+including hosts where numpy is absent.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "AST-based contract linter: determinism (R1/R5), kernel purity "
-            "(R2), resource lifecycle (R3), worker payloads (R4), doc "
-            "markers (R6), public API (R7)."
+            "AST-based contract linter: determinism (R1/R5), resource "
+            "lifecycle (R3), worker payloads (R4), doc markers (R6), "
+            "public API (R7)."
         ),
     )
     parser.add_argument(

@@ -4,7 +4,8 @@
 part of every lint run; :func:`all_rules` returns the registered rules
 in id order and :func:`resolve_rules` maps a ``--rules`` selector
 (comma-separated ids or slugs) onto them.  The built-in contract rules
-R1–R7 register themselves when this package is imported.
+R1 and R3–R7 register themselves when this package is imported; the
+retired R2 keeps its id unused.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ def resolve_rules(selector: str | None) -> list[Rule]:
 
 # Built-in contract rules register on import (after register_rule exists).
 from tools.lint.rules import rng  # noqa: E402,F401
-from tools.lint.rules import kernel_purity  # noqa: E402,F401
 from tools.lint.rules import lifecycle  # noqa: E402,F401
 from tools.lint.rules import payload  # noqa: E402,F401
 from tools.lint.rules import iteration  # noqa: E402,F401

@@ -1,4 +1,4 @@
-"""R6 — doc staleness markers point at live code (ex ``check_doc_markers.py``).
+"""R6 — doc staleness markers point at live code.
 
 Markdown files under ``docs/`` (plus the top-level ``README.md``) tie
 sections to code with HTML-comment markers::
@@ -16,15 +16,12 @@ Resolution is purely syntactic (``ast``).  The contract documents
 (``docs/ARCHITECTURE.md``, ``docs/EXPERIMENTS.md``) must also contain
 at least one marker each when present — a wholesale deletion should
 fail loudly, not pass vacuously.
-
-``tools/check_doc_markers.py`` remains as a shim over :func:`main`.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-import sys
 from pathlib import Path
 
 from tools.lint.base import RepoContext, Rule
@@ -139,22 +136,3 @@ class DocMarkersRule(Rule):
     def check_repo(self, ctx: RepoContext):
         for rel, lineno, message in check_root(ctx.root):
             yield self.repo_finding(rel, lineno, message)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point preserving the pre-lint script's contract."""
-    argv = sys.argv[1:] if argv is None else argv
-    root = (
-        Path(argv[0]).resolve()
-        if argv
-        else Path(__file__).resolve().parents[3]
-    )
-    failures = check_root(root)
-    if failures:
-        print(f"{len(failures)} stale doc marker(s):")
-        for rel, lineno, message in failures:
-            print(f"  {rel}:{lineno}: {message}")
-        return 1
-    total = sum(len(find_markers(md)) for md in iter_marker_files(root))
-    print(f"all {total} doc markers resolve")
-    return 0

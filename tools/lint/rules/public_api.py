@@ -1,4 +1,4 @@
-"""R7 — public-API surface honesty (ex ``check_public_api.py``).
+"""R7 — public-API surface honesty.
 
 Two layers, each historically easy to break:
 
@@ -14,8 +14,6 @@ Two layers, each historically easy to break:
    cannot be imported from ``<root>/src`` (e.g. linting a scratch tree
    while a different checkout's ``repro`` is loaded), so the linter
    itself never needs numpy.
-
-``tools/check_public_api.py`` remains as a shim over :func:`main`.
 """
 
 from __future__ import annotations
@@ -115,25 +113,21 @@ def check_static(root: Path) -> list[tuple[str, int, str]]:
     return failures
 
 
-def check_spec_round_trips(root: Path) -> tuple[list[tuple[str, int, str]], int]:
-    """Dynamic spec round-trip checks; skipped when repro is not importable.
-
-    Returns ``(failures, specs_checked)``; ``specs_checked`` is -1 when
-    the dynamic layer was skipped.
-    """
+def check_spec_round_trips(root: Path) -> list[tuple[str, int, str]]:
+    """Dynamic spec round-trip checks; skipped when repro is not importable."""
     if not (root / "src" / "repro" / "__init__.py").is_file():
-        return [], -1
+        return []
     src = str(root / "src")
     if src not in sys.path:
         sys.path.insert(0, src)
     try:
         import repro
     except Exception:
-        return [], -1
+        return []
     # A different checkout's repro being loaded must not validate this
     # root's specs against the wrong code.
     if Path(repro.__file__).resolve().parents[1] != (root / "src").resolve():
-        return [], -1
+        return []
     try:
         from repro.api.spec import EngineSpec
         from repro.experiments.grid import GridSpec
@@ -144,14 +138,14 @@ def check_spec_round_trips(root: Path) -> tuple[list[tuple[str, int, str]], int]
                 1,
                 f"unified-API modules not importable from this tree — {exc}",
             )
-        ], 0
+        ]
 
     failures: list[tuple[str, int, str]] = []
     spec_files = sorted((root / "specs").glob("*.json"))
     if not spec_files:
         return [
             ("specs", 1, "specs/ holds no JSON files (committed specs deleted?)")
-        ], 0
+        ]
     for path in spec_files:
         rel = path.relative_to(root).as_posix()
         try:
@@ -173,7 +167,7 @@ def check_spec_round_trips(root: Path) -> tuple[list[tuple[str, int, str]], int]
         encoded = json.loads(json.dumps(engine.to_dict()))
         if EngineSpec.from_dict(encoded) != engine:
             failures.append((rel, 1, "EngineSpec JSON round-trip is not the identity"))
-    return failures, len(spec_files)
+    return failures
 
 
 @register_rule
@@ -189,31 +183,5 @@ class PublicApiRule(Rule):
     def check_repo(self, ctx: RepoContext):
         for rel, lineno, message in check_static(ctx.root):
             yield self.repo_finding(rel, lineno, message)
-        failures, _ = check_spec_round_trips(ctx.root)
-        for rel, lineno, message in failures:
+        for rel, lineno, message in check_spec_round_trips(ctx.root):
             yield self.repo_finding(rel, lineno, message)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point preserving the pre-lint script's contract."""
-    argv = sys.argv[1:] if argv is None else argv
-    root = (
-        Path(argv[0]).resolve()
-        if argv
-        else Path(__file__).resolve().parents[3]
-    )
-    failures = check_static(root)
-    dynamic_failures, specs = check_spec_round_trips(root)
-    failures += dynamic_failures
-    if failures:
-        print(f"{len(failures)} public-API check failure(s):")
-        for rel, lineno, message in failures:
-            print(f"  {rel}:{lineno}: {message}")
-        return 1
-    suffix = (
-        f"{specs} committed spec(s) round-trip through EngineSpec"
-        if specs >= 0
-        else "spec round-trip skipped (repro not importable)"
-    )
-    print(f"public API ok: __all__ names resolve, {suffix}")
-    return 0

@@ -27,11 +27,7 @@ ENTROPY_SOURCES = frozenset({"time.time", "time.time_ns", "os.urandom", "uuid.uu
 
 
 def entropy_calls(tree: ast.AST, imports: ImportMap):
-    """Yield ``(node, message)`` for every banned entropy construction.
-
-    Shared with the kernel-purity rule (R2), which applies the same
-    classification inside ``@njit`` bodies.
-    """
+    """Yield ``(node, message)`` for every banned entropy construction."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
