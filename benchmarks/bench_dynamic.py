@@ -125,9 +125,8 @@ def run_benchmark() -> dict:
     for target in WORKLOAD["target_rates"]:
         with AllocationSession(instance.graph, spec=spec) as session:
             session.solve(instance, "TI-CSRM")
-            (group,) = session._warm.stores.values()
-            store = group.store
             probs = np.asarray(instance.ad_probs[0], dtype=np.float64)
+            store = session.store_for(probs)
             batch = _batch_for_rate(
                 instance.graph, probs, store, target,
                 np.random.default_rng(WORKLOAD["seed"] + 1),

@@ -58,6 +58,7 @@ from repro.rrset.backend import (
     make_backend,
     resolve_backend,
 )
+from repro.rrset.collection import SharedRRStore
 
 
 class _CountingBackend(SamplerBackend):
@@ -351,6 +352,26 @@ class AllocationSession:
         private state.
         """
         return self._closed
+
+    def store_for(self, probs) -> SharedRRStore:
+        """The RR store this session holds for the probability vector *probs*.
+
+        Keyed exactly as solves key their stores: by the raw ``float64``
+        bytes of the vector.  The store is for reading (benchmarks aim
+        edge updates at its sets, tests compare its contents); only
+        :meth:`solve` and :meth:`apply_edge_updates` change it.  Raises
+        :class:`~repro.errors.AllocationError` when the session holds
+        no store for *probs*: before the first solve over it, or for a
+        pre-mutation vector once :meth:`apply_edge_updates` has re-keyed
+        the store under ``plan.apply_probs(probs)``.
+        """
+        key = np.asarray(probs, dtype=np.float64).tobytes()
+        group = self._warm.stores.get(key)
+        if group is None:
+            raise AllocationError(
+                "session holds no RR store for this probability vector"
+            )
+        return group.store
 
     @property
     def stats(self) -> dict:

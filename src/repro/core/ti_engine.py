@@ -23,7 +23,7 @@ revenue is ``π̂_j(v|S_j) = cpe(j)·n·cov_j(v)/θ_j``; the running revenue is
 cost.  When ``θ_j`` grows (Eq. 10 fired) new sets already covered by
 ``S_j`` are absorbed into ``covered_j`` — Algorithm 3's refresh.
 
-Documented deviations from the pseudocode (DESIGN.md §4):
+Documented deviations from the pseudocode (docs/ARCHITECTURE.md §6):
 
 * ``OPT_s`` may be lower-bounded by a precomputed max singleton spread
   instead of the KPT routine (both are valid lower bounds; the former is
@@ -32,7 +32,9 @@ Documented deviations from the pseudocode (DESIGN.md §4):
   residual coverage is retired — no node could increase its estimated
   revenue, and only the PageRank baselines are meant to pad zero-gain
   seeds;
-* a hard ``theta_cap`` bounds sample sizes (pure-Python tractability);
+* a hard ``theta_cap`` bounds sample sizes (pure-Python tractability),
+  and θ sizing skips the KPT calls the cap makes moot
+  (docs/ARCHITECTURE.md §5);
 * ``share_samples=True`` enables the memory optimization the paper
   leaves open (Section 7, question i): ads with identical probability
   vectors draw their RR sets from one shared store and keep only
@@ -220,7 +222,6 @@ class _AdState:
         "done",
         "pr_order",
         "pr_ptr",
-        "opt_lower",
         "cand_node",
         "cand_rev",
         "cand_fresh",
@@ -239,7 +240,6 @@ class _AdState:
         self.done = False
         self.pr_order: np.ndarray | None = None
         self.pr_ptr = 0
-        self.opt_lower = 1.0
         # CELF-style candidate cache: (node, marginal revenue) of the last
         # computed candidate, plus a validity flag.
         self.cand_node: int | None = None
@@ -336,16 +336,49 @@ class TIEngine:
     # ------------------------------------------------------------------
     # Initialization (lines 1–4 of Algorithm 2)
     # ------------------------------------------------------------------
-    def _opt_lower_for(self, state: _AdState, ad: int, s: int) -> float:
+    def _theta_for(self, state: _AdState, ad: int, s: int) -> int:
+        """θ for seed-size estimate *s*: Eq. 8 at the ad's ``OPT_s`` bound.
+
+        Under ``opt_lower="kpt"``, a call with ``s > 1`` returns
+        ``theta_cap`` without asking KPT when θ is capped even at
+        :attr:`KPTEstimator.ceiling`, the largest bound KPT can return.
+        Skipping that call is exact, for two reasons:
+
+        * θ = min(⌈L⌉, cap) is non-increasing in ``opt_lower``, so if θ
+          is capped at the ceiling it is capped for every value KPT
+          could return;
+        * after ``estimate(1)``, ``estimate(s)`` never draws a width for
+          any ``s > 1``: κ(R) = 1 − (1 − w/m)^s is non-decreasing in
+          ``s`` elementwise, and so is each stage mean, so the stage
+          loop stops no later than it did for ``s = 1``, on widths
+          already drawn.
+
+        So the skip leaves θ and the ad's RNG stream untouched.  ``s = 1``
+        always asks KPT, because its width draws share the ad's
+        generator with the RR sets.  Invariant: every estimator's first
+        call is ``estimate(1)``.  :meth:`_init_states` sizes each ad at
+        ``s = 1`` right after handing it its estimator, which is new at
+        init, after a KPT-parameter change and after a mutation dropped
+        the old one (docs/ARCHITECTURE.md §5).
+        """
+        n = self.instance.n
         spec = self.opt_lower_spec
         if isinstance(spec, str):
             if spec != "kpt":
                 raise AllocationError(f"unknown opt_lower spec {spec!r}")
             assert state.kpt is not None
-            return max(state.kpt.estimate(s), 1.0)
-        if isinstance(spec, (list, tuple, np.ndarray)):
-            return max(float(spec[ad]), 1.0)
-        return max(float(spec), 1.0)
+            if s > 1 and self.theta_cap is not None:
+                theta = sample_size(
+                    n, s, self.eps, self.ell, state.kpt.ceiling, self.theta_cap
+                )
+                if theta == self.theta_cap:
+                    return theta
+            opt_lower = max(state.kpt.estimate(s), 1.0)
+        elif isinstance(spec, (list, tuple, np.ndarray)):
+            opt_lower = max(float(spec[ad]), 1.0)
+        else:
+            opt_lower = max(float(spec), 1.0)
+        return sample_size(n, s, self.eps, self.ell, opt_lower, self.theta_cap)
 
     def _prob_group_key(self, ad: int) -> bytes:
         """Ads share a store iff their probability vectors are identical.
@@ -505,10 +538,7 @@ class TIEngine:
                     )
                 state.collection = RRCollection(n)
             state.s_est = 1
-            state.opt_lower = self._opt_lower_for(state, ad, 1)
-            state.theta = sample_size(
-                n, 1, self.eps, self.ell, state.opt_lower, self.theta_cap
-            )
+            state.theta = self._theta_for(state, ad, 1)
             if self.share_samples:
                 if state.store.size < state.theta:
                     state.store.extend_flat(
@@ -621,10 +651,7 @@ class TIEngine:
             state.done = True
             return
         state.s_est = s_new
-        state.opt_lower = self._opt_lower_for(state, ad, s_new)
-        theta_new = sample_size(
-            inst.n, s_new, self.eps, self.ell, state.opt_lower, self.theta_cap
-        )
+        theta_new = self._theta_for(state, ad, s_new)
         if theta_new > state.theta:
             # UpdateEstimates: new sets hit by existing seeds are absorbed
             # straight into the covered count.

@@ -7,7 +7,7 @@ proxies on the scalability datasets, and RR sampling inside the
 algorithms.  This module provides all three building blocks; the
 RR-based batch singleton estimator is the offline default because one
 shared sample prices every node at once (same estimand, far cheaper —
-see DESIGN.md §4).
+see the opening of docs/EXPERIMENTS.md).
 """
 
 from __future__ import annotations

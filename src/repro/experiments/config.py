@@ -5,7 +5,8 @@ server with C-level RR sampling.  The pure-Python reproduction keeps the
 same algorithmic structure but works on scaled-down synthetic analogs,
 so the defaults here trade estimator tightness for wall-clock sanity:
 larger ε, a per-ad θ cap, and singleton spreads priced by a shared RR
-sample instead of 5 000 Monte-Carlo runs (see DESIGN.md §4).  Every knob
+sample instead of 5 000 Monte-Carlo runs (see the opening of
+docs/EXPERIMENTS.md and docs/ARCHITECTURE.md §5).  Every knob
 is recorded in the emitted reports — and, compiled into the resolved
 ``EngineSpec``, in every grid manifest row — so ``docs/EXPERIMENTS.md``
 can state precisely what was run.

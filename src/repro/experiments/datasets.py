@@ -4,7 +4,8 @@ edge-list ingestion.
 Real FLIXSTER/EPINIONS/DBLP/LIVEJOURNAL crawls are unavailable offline,
 so each builder synthesizes a scaled-down graph from the same structural
 family and attaches the same probability model the paper used on the
-original (DESIGN.md §4 discusses why this preserves the comparisons).
+original (the opening of docs/EXPERIMENTS.md discusses why this
+preserves the comparisons).
 When a real SNAP-format crawl *is* available, :func:`build_edge_list_dataset`
 ingests it through :mod:`repro.graph.io` and attaches one of the same
 probability models by name (``wc`` / ``tic`` / ``trivalency``), and

@@ -3,8 +3,9 @@
 The paper's evaluation uses four crawled social networks (FLIXSTER,
 EPINIONS, DBLP, LIVEJOURNAL).  Those crawls are not redistributable and
 are unavailable offline, so the experiment suite builds *synthetic
-analogs* from the generators in this module (see DESIGN.md §4).  The two
-properties the algorithms are actually sensitive to are
+analogs* from the generators in this module (see the opening of
+docs/EXPERIMENTS.md).  The two properties the algorithms are actually
+sensitive to are
 
 * heavy-tailed degree distributions (they create the influence
   heterogeneity that separates cost-sensitive from cost-agnostic seeding),

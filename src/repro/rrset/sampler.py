@@ -20,7 +20,8 @@ It runs a *level-synchronous* reverse BFS over all requested sets at
 once: roots are drawn in one vectorized RNG call, and each BFS level
 performs one ragged gather of every frontier node's in-arc slice, one
 ``rng.random(E)`` draw over all E candidate arcs of the level, and one
-``np.unique`` dedup against a per-(set, node) visited bitmap — so the
+dedup that drops keys already in a per-(set, node) visited bitmap, then
+sorts the rest and keeps the first of each run of equal keys — so the
 Python interpreter executes O(graph depth) iterations instead of
 O(total frontier nodes).  Sets are processed in chunks sized so the
 visited bitmap stays within a fixed memory budget (the chunk size is a
@@ -184,12 +185,14 @@ def sample_batch_flat_kernel(
             esets = np.repeat(fsets, degs)
             flips = rng.random(total) < probs_in[eidx]
             cand_keys = esets[flips] * n + in_tails[eidx[flips]]
-            if not cand_keys.size:
-                break
-            keys = np.unique(cand_keys)  # dedup within the level
-            keys = keys[~visited[keys]]  # drop already-visited pairs
+            keys = cand_keys[~visited[cand_keys]]  # drop already-visited pairs
             if not keys.size:
                 break
+            # Dedup within the level: sort, keep the first of each run of
+            # equal keys.  Same ascending unique keys as np.unique, without
+            # its hashing cost.
+            keys.sort()
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
             visited[keys] = True
             fsets = keys // n
             fnodes = keys % n

@@ -11,14 +11,22 @@ TI-CARM/TI-CSRM rely on, which IMM/SSA samples are too small to provide.
 
 ``OPT_s`` is unknown; TIM lower-bounds it with the KPT estimation
 algorithm, reproduced here as :class:`KPTEstimator`.  Two pragmatic
-adaptations (documented in DESIGN.md §4):
+adaptations (documented in docs/ARCHITECTURE.md §5):
 
 * sampled widths are cached and reused when ``s`` changes — the
   ``κ(R) = 1 − (1 − w(R)/m)^s`` statistic is recomputable from stored
   widths, so growing ``s`` (Eq. 10) does not resample;
 * a hard ``theta_cap`` bounds the sample size so pure-Python runs stay
-  tractable; the cap widens confidence intervals but never alters the
-  algorithms' control flow.
+  tractable; the cap widens confidence intervals.
+
+The cap also lets the engine skip KPT calls it makes moot: for
+``s > 1`` it does not ask KPT when θ is capped even at
+:attr:`KPTEstimator.ceiling`, the largest bound KPT can return.  That
+is exact because θ is non-increasing in the bound, and because after
+``estimate(1)`` no ``estimate(s)`` with ``s > 1`` draws a width (κ is
+non-decreasing in ``s``, so each stage loop stops no later than the
+``s = 1`` loop did).  ``s = 1`` always asks KPT: its width draws share
+the ad's generator with the RR sets.  See ``TIEngine._theta_for``.
 """
 
 from __future__ import annotations
@@ -96,17 +104,28 @@ class KPTEstimator:
         self.ell = float(ell)
         self.rng = as_generator(rng)
         self.max_samples = int(max_samples)
-        self._widths: list[int] = []
+        self._widths = np.empty(0, dtype=np.float64)
         self._cache: dict[int, float] = {}
+
+    @property
+    def ceiling(self) -> float:
+        """The largest value :meth:`estimate` can return, ``max(1, n / 2)``.
+
+        Every bound is ``max(1, n · mean / 2)`` over a mean of
+        ``κ(R) ≤ 1``, so no call, whatever ``s``, exceeds this.
+        """
+        return max(1.0, self.sampler.graph.n / 2.0)
 
     def _ensure_samples(self, count: int) -> None:
         count = min(count, self.max_samples)
-        deficit = count - len(self._widths)
+        deficit = count - self._widths.size
         if deficit > 0:
             # One flat batch per stage: roots are drawn vectorized and the
             # member ids are discarded, only widths are retained.
             widths = self.sampler.sample_batch_widths(deficit, self.rng)
-            self._widths.extend(int(w) for w in widths)
+            self._widths = np.concatenate(
+                (self._widths, np.asarray(widths, dtype=np.float64))
+            )
 
     def estimate(self, s: int) -> float:
         """Lower bound for ``OPT_s`` (at least 1.0, since any seed reaches itself)."""
@@ -124,7 +143,7 @@ class KPTEstimator:
         for stage in range(1, max_stage + 1):
             c_i = int(math.ceil(base * (2 ** stage)))
             self._ensure_samples(c_i)
-            widths = np.asarray(self._widths[: min(c_i, len(self._widths))], dtype=np.float64)
+            widths = self._widths[:c_i]
             if widths.size == 0:
                 break
             kappa = 1.0 - np.power(1.0 - widths / m, s)
@@ -132,7 +151,7 @@ class KPTEstimator:
             if mean > 1.0 / (2 ** stage):
                 result = max(1.0, n * mean / 2.0)
                 break
-            if len(self._widths) >= self.max_samples and c_i > self.max_samples:
+            if self._widths.size >= self.max_samples and c_i > self.max_samples:
                 # Sampling budget exhausted before the threshold test could
                 # trigger; fall back on the best certified bound so far.
                 result = max(1.0, n * mean / 2.0)

@@ -89,7 +89,8 @@ def weighted_cascade_capped(graph: DiGraph, cap: float = 0.2) -> np.ndarray:
     paper's 76K–4.8M-node graphs do not exhibit in relative terms.
     Capping the arc probability restores the paper's regime (top spreads
     of a few percent of ``n``) while preserving WC's degree-driven
-    heterogeneity.  Used by the synthetic analog datasets (DESIGN.md §4).
+    heterogeneity.  Used by the synthetic analog datasets (see the
+    opening of docs/EXPERIMENTS.md).
     """
     if not 0.0 < cap <= 1.0:
         raise TopicModelError(f"cap must be in (0, 1], got {cap}")

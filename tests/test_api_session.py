@@ -8,6 +8,7 @@ from repro.core.ads import Advertiser
 from repro.core.instance import RMInstance
 from repro.errors import AllocationError
 from repro.graph.digraph import DiGraph
+from repro.graph.updates import compile_updates
 
 from tests.conftest import make_tiny_instance
 
@@ -179,6 +180,38 @@ class TestSessionSemantics:
             assert session.stats["stores"] == 1
             session.solve(other)
             assert session.stats["stores"] == 2
+
+
+class TestStoreFor:
+    def test_returns_the_store_a_solve_filled(self):
+        inst = make_tiny_instance()
+        probs = inst.ad_probs[0]
+        with AllocationSession(inst.graph, spec=SPEC) as session:
+            with pytest.raises(AllocationError, match="no RR store"):
+                session.store_for(probs)
+            result = session.solve(inst)
+            store = session.store_for(probs)
+            # Both ads share one vector, so one store holds the largest θ.
+            assert store.size == max(result.extras["theta_per_ad"])
+            # Keyed by content: an equal copy finds the same store.
+            assert session.store_for(probs.copy()) is store
+            drawn = session.stats["sets_sampled"]
+            session.solve(inst)
+            assert session.store_for(probs) is store
+            assert session.stats["sets_sampled"] == drawn
+
+    def test_follows_the_rekey_of_a_mutation(self):
+        inst = make_tiny_instance()
+        old = inst.ad_probs[0]
+        batch = [("set_prob", 0, 1, 0.5)]
+        with AllocationSession(inst.graph, spec=SPEC) as session:
+            session.solve(inst)
+            store = session.store_for(old)
+            plan = compile_updates(inst.graph, batch)
+            session.apply_edge_updates(batch)
+            assert session.store_for(plan.apply_probs(old)) is store
+            with pytest.raises(AllocationError, match="no RR store"):
+                session.store_for(old)
 
 
 class TestAdaptiveReuse:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import AllocationSession, EngineSpec
 from repro.core.ads import Advertiser
 from repro.core.baselines import pagerank_gr, pagerank_rr
 from repro.core.instance import RMInstance
@@ -13,6 +14,8 @@ from repro.core.ticsrm import ti_csrm
 from repro.errors import AllocationError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
+from repro.graph.updates import compile_updates
+from repro.rrset.tim import KPTEstimator
 
 
 def small_instance(h=2, budget=12.0, seed=0, n=40, zero_costs=False):
@@ -166,6 +169,80 @@ class TestModes:
         if seeds:
             # Seeds must form a prefix of the PageRank order.
             assert seeds == order[: len(seeds)]
+
+
+class TestKPTCalls:
+    """Which ``KPTEstimator.estimate`` calls the engine makes.
+
+    θ sizing skips a KPT call at ``s > 1`` when the cap binds even at
+    KPT's ceiling; that is exact only because every estimator is first
+    asked for ``s = 1`` (see ``TIEngine._theta_for``).
+    """
+
+    @staticmethod
+    def _spy(monkeypatch) -> list[tuple[KPTEstimator, int]]:
+        calls = []
+        original = KPTEstimator.estimate
+
+        def estimate(self, s):
+            calls.append((self, s))
+            return original(self, s)
+
+        monkeypatch.setattr(KPTEstimator, "estimate", estimate)
+        return calls
+
+    @staticmethod
+    def _first_s(calls) -> list[int]:
+        first: dict[int, int] = {}
+        for kpt, s in calls:
+            first.setdefault(id(kpt), s)
+        return list(first.values())
+
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_every_estimator_is_first_asked_for_s1(self, monkeypatch, share):
+        calls = self._spy(monkeypatch)
+        inst = small_instance(h=3)
+        ti_csrm(inst, eps=0.8, theta_cap=None, opt_lower="kpt", seed=5,
+                share_samples=share)
+        assert self._first_s(calls) and set(self._first_s(calls)) == {1}
+        # Uncapped, θ follows KPT, so the grown seed sizes were asked.
+        assert any(s > 1 for _, s in calls)
+
+    def test_estimators_of_a_session_are_first_asked_for_s1(self, monkeypatch):
+        """Rebuilt estimators (new KPT parameters, or dropped by a
+        mutation) start at ``s = 1`` like fresh ones."""
+        calls = self._spy(monkeypatch)
+        inst = small_instance(h=2)
+        tails, heads = inst.graph.edge_array()
+        batch = [("set_prob", int(tails[0]), int(heads[0]), 0.1)]
+        plan = compile_updates(inst.graph, batch)
+        spec = EngineSpec(eps=0.8, theta_cap=None, opt_lower="kpt", seed=5)
+        with AllocationSession(inst.graph, spec=spec) as session:
+            session.solve(inst)
+            session.solve(inst, spec=spec.override(kpt_max_samples=900))
+            session.apply_edge_updates(batch)
+            mutated = RMInstance(
+                session.graph,
+                inst.advertisers,
+                [plan.apply_probs(p) for p in inst.ad_probs],
+                inst.incentives,
+            )
+            session.solve(mutated)
+        # Both ads share one vector: one estimator per solve.
+        assert self._first_s(calls) == [1, 1, 1]
+
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_cap_binding_at_ceiling_asks_only_s1(self, monkeypatch, share):
+        # n = 40: at s = 1 and KPT's ceiling n / 2 = 20, Eq. 8 gives
+        # θ ≈ 242 > 50, so the cap binds whatever KPT returns.
+        calls = self._spy(monkeypatch)
+        inst = small_instance(h=2)
+        result = ti_csrm(inst, eps=0.8, theta_cap=50, opt_lower="kpt", seed=5,
+                         share_samples=share)
+        assert calls and {s for _, s in calls} == {1}
+        # The seed size did grow, so calls at s > 1 were skipped.
+        assert max(result.extras["seed_size_estimate_per_ad"]) > 1
+        assert result.extras["theta_per_ad"] == [50, 50]
 
 
 class TestNaming:

@@ -78,11 +78,6 @@ def _er_instance(n=80, p=0.06, seed=5):
     return graph, _instance(graph, probs=probs)
 
 
-def _single_store(session: AllocationSession):
-    (group,) = session._warm.stores.values()
-    return group.store
-
-
 def _snapshot(store) -> list[np.ndarray]:
     return [np.asarray(store.set_members(k), dtype=np.int64).copy()
             for k in range(store.size)]
@@ -190,9 +185,9 @@ class TestSessionIncremental:
         graph, inst = _er_instance()
         with AllocationSession(graph, spec=SPEC) as session:
             session.solve(inst)
-            store = _single_store(session)
-            stored = store.size
             probs = np.asarray(inst.ad_probs[0], dtype=np.float64)
+            store = session.store_for(probs)
+            stored = store.size
             batch = _batch_for(graph, seed=3, size=6)
             plan = compile_updates(graph, batch)
             expected = store.sets_touching(plan.changed_heads(probs))
@@ -241,10 +236,9 @@ class TestSessionIncremental:
             with AllocationSession(graph, spec=SPEC) as session:
                 session.solve(inst)
                 session.apply_edge_updates(batch)
-                store = _single_store(session)
-                sets = _snapshot(store)
                 probs = np.asarray(inst.ad_probs[0], dtype=np.float64)
                 plan = compile_updates(graph, batch)
+                sets = _snapshot(session.store_for(plan.apply_probs(probs)))
                 final = _instance(session.graph, probs=plan.apply_probs(probs))
                 result = session.solve(final)
                 return sets, result.allocation.seed_sets(), result.revenue_per_ad
@@ -273,11 +267,11 @@ class TestSessionIncremental:
 
         with AllocationSession(graph, spec=SPEC) as cold:
             cold.solve(inst)
-            cold_sets = _snapshot(_single_store(cold))
+            cold_sets = _snapshot(cold.store_for(probs))
 
         with AllocationSession(graph, spec=SPEC) as session:
             session.solve(inst)
-            store = _single_store(session)
+            store = session.store_for(probs)
             plan = compile_updates(graph, batch)
             invalid = set(
                 store.sets_touching(plan.changed_heads(probs)).tolist()
@@ -480,8 +474,8 @@ class TestMutationFaults:
                     assert chaos.stats["worker.kill"]["fired"] == 1
                 else:
                     report = session.apply_edge_updates(batch)
-                sets = _snapshot(_single_store(session))
                 plan = compile_updates(graph, batch)
+                sets = _snapshot(session.store_for(plan.apply_probs(probs)))
                 final = _instance(session.graph,
                                   probs=plan.apply_probs(probs))
                 result = session.solve(final)

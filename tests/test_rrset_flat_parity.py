@@ -33,6 +33,7 @@ from repro.rrset.collection import (
     estimate_spread_from_sets,
 )
 from repro.rrset.sampler import RRSampler
+from repro.topics.edge_probs import weighted_cascade
 
 
 # ----------------------------------------------------------------------
@@ -101,22 +102,48 @@ def reference_batch_flat(sampler, count, rng):
     return members, indptr
 
 
+def _parity_sampler(n, density, seed, p):
+    """An ER graph with uniform arc probability *p*, or Weighted-Cascade
+    probabilities (``1 / in-degree`` of each arc's head) for ``"wc"``."""
+    g = erdos_renyi(n, density, seed=seed)
+    return RRSampler(g, weighted_cascade(g) if p == "wc" else np.full(g.m, p))
+
+
 class TestSamplerParity:
-    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-    def test_flat_batch_matches_reference(self, p):
-        g = erdos_renyi(40, 0.15, seed=3)
-        sampler = RRSampler(g, np.full(g.m, p))
+    # "wc" draws per-arc probabilities that vary with the head's
+    # in-degree; "dense-er" expands ~20 in-arcs per frontier node, so
+    # ~80% of a level's candidate keys are duplicates or already
+    # visited — the level dedup's hard case.
+    @pytest.mark.parametrize(
+        "n, density, p",
+        [
+            (40, 0.15, 0.0),
+            (40, 0.15, 0.3),
+            (40, 0.15, 1.0),
+            (40, 0.5, "wc"),
+            (40, 0.5, 0.3),
+        ],
+        ids=["0.0", "0.3", "1.0", "wc", "dense-er"],
+    )
+    def test_flat_batch_matches_reference(self, n, density, p):
+        sampler = _parity_sampler(n, density, 3, p)
         fast_m, fast_i = sampler.sample_batch_flat(64, np.random.default_rng(9))
         ref_m, ref_i = reference_batch_flat(sampler, 64, np.random.default_rng(9))
         assert fast_i.tolist() == ref_i.tolist()
         assert fast_m.tolist() == ref_m.tolist()
 
-    def test_flat_batch_matches_reference_across_chunks(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "n, density, p",
+        [(25, 0.2, 0.5), (25, 0.6, "wc"), (25, 0.6, 0.3)],
+        ids=["0.5", "wc", "dense-er"],
+    )
+    def test_flat_batch_matches_reference_across_chunks(
+        self, monkeypatch, n, density, p
+    ):
         """Chunk boundaries must not change the sampled sets' semantics
         relative to the reference, which follows the same chunking."""
-        g = erdos_renyi(25, 0.2, seed=4)
-        monkeypatch.setattr(RRSampler, "_CHUNK_BYTES", g.n * 7)  # chunk = 7
-        sampler = RRSampler(g, np.full(g.m, 0.5))
+        monkeypatch.setattr(RRSampler, "_CHUNK_BYTES", n * 7)  # chunk = 7
+        sampler = _parity_sampler(n, density, 4, p)
         assert sampler._chunk_size(50) == 7
         fast_m, fast_i = sampler.sample_batch_flat(50, np.random.default_rng(11))
         ref_m, ref_i = reference_batch_flat(sampler, 50, np.random.default_rng(11))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EstimationError
 from repro.graph.generators import erdos_renyi
@@ -98,3 +100,36 @@ class TestKPT:
         sampler = RRSampler(g, np.empty(0))
         kpt = KPTEstimator(sampler, rng=0)
         assert kpt.estimate(1) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    arc_p=st.floats(0.0, 0.4),
+    prob_scale=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    # Small budgets run out before the first stage's count (9 sets at
+    # n = 2, 65 at n = 40), so the budget branch is exercised too.
+    max_samples=st.one_of(st.integers(1, 80), st.just(20_000)),
+    steps=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+)
+def test_estimate_past_s1_draws_nothing(n, arc_p, prob_scale, seed, max_samples, steps):
+    """After ``estimate(1)``, calls at larger ``s`` reuse its widths.
+
+    κ is non-decreasing in ``s``, so their stage loops stop no later
+    than the ``s = 1`` loop: no width is drawn and the generator is
+    untouched.  This is what lets the engine skip KPT calls whose θ the
+    cap fixes anyway.  Every bound stays within :attr:`ceiling`.
+    """
+    g = erdos_renyi(n, arc_p, seed=seed)
+    probs = np.random.default_rng(seed + 1).random(g.m) * prob_scale
+    kpt = KPTEstimator(RRSampler(g, probs), rng=seed, max_samples=max_samples)
+    assert 1.0 <= kpt.estimate(1) <= kpt.ceiling
+    drawn = kpt._widths.size
+    state = kpt.rng.bit_generator.state
+    s = 1
+    for step in steps:
+        s += step
+        assert 1.0 <= kpt.estimate(s) <= kpt.ceiling
+        assert kpt._widths.size == drawn
+        assert kpt.rng.bit_generator.state == state

@@ -5,7 +5,8 @@ reverse-BFS kernel behind every sampling path.  Three layers pin it:
 
 1. golden seeded TI-CSRM / TI-CARM allocations, literal seed sets
    asserted across (storage, spill) combinations — any drift of the
-   RNG stream fails here;
+   RNG stream fails here — plus KPT-priced goldens across θ caps and
+   storage, which also pin KPT's width draws and the engine's θ sizing;
 2. degenerate graphs: empty graph, single node, isolated roots, and a
    self-loop/duplicate-arc edge list reloaded via ``ingest_edge_list``;
 3. the ``kernel`` argument still accepted by :func:`repro.resolve_kernel`
@@ -88,6 +89,142 @@ GOLDEN = {
 }
 
 
+#: KPT-priced runs of the same instance and seed (``opt_lower="kpt"``),
+#: keyed by ``theta_cap`` then storage.  KPT's width draws share each
+#: ad's RNG stream with its RR sets, so these pin the estimator's draws
+#: and the engine's θ sizing together.  At cap 120, θ is capped at KPT's
+#: ceiling from ``s = 1``; at cap 500 only at larger ``s`` (so the
+#: engine skips the moot KPT calls while ``s = 1`` still asks KPT);
+#: uncapped, θ follows every KPT bound.
+KPT_GOLDEN = {
+    "TI-CARM": {
+        120: {
+            "private": {
+                "seeds": [
+                    [103, 40, 46, 61, 31, 9, 17],
+                    [111, 70, 94, 93, 80, 10, 41],
+                ],
+                "revenue": [64.5, 39.0],
+                "theta": [120, 120],
+            },
+            "shared": {
+                "seeds": [
+                    [103, 40, 46, 94, 88, 17, 19],
+                    [61, 31, 111, 15, 30, 26, 48],
+                ],
+                "revenue": [64.5, 36.0],
+                "theta": [120, 120],
+            },
+        },
+        500: {
+            "private": {
+                "seeds": [
+                    [103, 111, 61, 15, 79, 77],
+                    [93, 40, 31, 88, 17, 30, 13],
+                ],
+                "revenue": [60.84, 35.04],
+                "theta": [500, 500],
+            },
+            "shared": {
+                "seeds": [
+                    [103, 111, 61, 15, 79, 77],
+                    [40, 31, 100, 17, 93, 94],
+                ],
+                "revenue": [60.84, 32.16],
+                "theta": [500, 500],
+            },
+        },
+        None: {
+            "private": {
+                "seeds": [
+                    [103, 111, 40, 15, 97, 77, 88],
+                    [61, 93, 31, 17, 100, 67],
+                ],
+                "revenue": [60.026651860077735, 30.55805003207184],
+                "theta": [9005, 9354],
+            },
+            "shared": {
+                "seeds": [
+                    [103, 111, 40, 15, 97, 77, 88],
+                    [61, 93, 31, 17, 67, 100],
+                ],
+                "revenue": [60.026651860077735, 30.329816768461967],
+                "theta": [9005, 9005],
+            },
+        },
+    },
+    "TI-CSRM": {
+        120: {
+            "private": {
+                "seeds": [
+                    [119, 65, 71, 83, 89, 19, 48, 52, 102, 2, 26, 68, 105,
+                     106, 113, 16, 35, 58, 32, 82],
+                    [29, 91, 50, 86, 70, 3, 10, 23, 60, 75, 21, 37, 53, 114,
+                     80],
+                ],
+                "revenue": [82.5, 46.0],
+                "theta": [120, 120],
+            },
+            "shared": {
+                "seeds": [
+                    [119, 65, 71, 83, 89, 19, 48, 52, 102, 2, 26, 29, 68,
+                     91, 105, 106, 113, 16, 35, 58],
+                    [7, 9, 22, 70, 82, 92, 117, 46, 8, 32, 69, 80, 31],
+                ],
+                "revenue": [79.5, 42.0],
+                "theta": [120, 120],
+            },
+        },
+        500: {
+            "private": {
+                "seeds": [
+                    [29, 78, 105, 65, 109, 26, 48, 52, 4, 71, 75, 89, 119,
+                     35, 20, 19, 23, 57, 85, 94, 102, 1, 12],
+                    [118, 91, 21, 60, 98, 80, 3, 24, 90, 88, 36, 7, 53, 63,
+                     86, 113, 70, 10],
+                ],
+                "revenue": [68.76, 37.92],
+                "theta": [500, 500],
+            },
+            "shared": {
+                "seeds": [
+                    [29, 78, 105, 65, 109, 26, 48, 52, 4, 71, 75, 89, 119,
+                     35, 20, 19, 23, 57, 85, 98, 94, 102],
+                    [80, 36, 15, 90, 37, 2, 12, 60, 91, 31, 28, 1, 83, 106,
+                     79],
+                ],
+                "revenue": [68.4, 36.24],
+                "theta": [500, 500],
+            },
+        },
+        None: {
+            "private": {
+                "seeds": [
+                    [65, 118, 4, 52, 89, 21, 29, 119, 26, 3, 90, 2, 91, 109,
+                     12, 105, 83, 60, 23, 86, 35, 37, 68, 69, 20, 85, 14,
+                     16, 78, 6],
+                    [80, 113, 48, 42, 106, 15, 71, 58, 104, 75, 114, 24, 55,
+                     96, 19, 7, 53, 36, 8],
+                ],
+                "revenue": [67.8023320377568, 33.842206542655546],
+                "theta": [9005, 9354],
+            },
+            "shared": {
+                "seeds": [
+                    [65, 118, 4, 52, 89, 21, 29, 119, 26, 3, 90, 2, 91, 109,
+                     12, 105, 83, 60, 23, 86, 35, 37, 68, 69, 20, 48, 85,
+                     14, 16, 78],
+                    [80, 113, 42, 75, 104, 15, 36, 7, 24, 49, 106, 114, 96,
+                     63, 81, 71, 6, 57],
+                ],
+                "revenue": [66.82287617990005, 32.541921154913936],
+                "theta": [9005, 9005],
+            },
+        },
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def golden_instance():
     from repro.experiments.datasets import build_dataset
@@ -98,9 +235,9 @@ def golden_instance():
 
 
 def _golden_spec(opt_lower, **overrides):
-    return EngineSpec(
-        eps=1.0, theta_cap=120, opt_lower=opt_lower, seed=11, **overrides
-    )
+    params = dict(eps=1.0, theta_cap=120, opt_lower=opt_lower, seed=11)
+    params.update(overrides)
+    return EngineSpec(**params)
 
 
 class TestGoldenAllocations:
@@ -127,6 +264,24 @@ class TestGoldenAllocations:
         assert result.revenue_per_ad == pytest.approx(golden["revenue"])
         if extra.get("rr_bytes_budget"):
             assert result.extras["memory"]["spilled_stores"] >= 1
+
+    @pytest.mark.parametrize("algorithm", sorted(KPT_GOLDEN))
+    @pytest.mark.parametrize(
+        "theta_cap", [120, 500, None], ids=["cap120", "cap500", "uncapped"]
+    )
+    @pytest.mark.parametrize("storage", ["private", "shared"])
+    def test_kpt_priced_match_golden(
+        self, golden_instance, algorithm, theta_cap, storage
+    ):
+        inst, _ = golden_instance
+        spec = _golden_spec(
+            "kpt", theta_cap=theta_cap, share_samples=storage == "shared"
+        )
+        result = solve(inst, algorithm, spec)
+        golden = KPT_GOLDEN[algorithm][theta_cap][storage]
+        assert result.allocation.seed_sets() == golden["seeds"]
+        assert result.revenue_per_ad == pytest.approx(golden["revenue"])
+        assert result.extras["theta_per_ad"] == golden["theta"]
 
 
 # ----------------------------------------------------------------------
