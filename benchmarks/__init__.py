@@ -1,1 +1,1 @@
-"""Benchmark suite: one module per paper table/figure (see DESIGN.md §3)."""
+"""Benchmark suite: one module per paper table/figure (see docs/EXPERIMENTS.md §1 and §3)."""

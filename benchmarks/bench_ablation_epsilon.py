@@ -1,8 +1,8 @@
 """Ablation: estimator accuracy ε vs revenue, θ, time and memory.
 
-Design-choice ablation called out in DESIGN.md: Theorem 4 predicts an
-additive revenue loss linear in ε while Eq. 8 makes the RR sample size
-(hence memory and time) shrink as 1/ε².  The sweep runs on the EPINIONS
+Design-choice ablation of the ε that sizes θ (docs/ARCHITECTURE.md §5):
+Theorem 4 predicts an additive revenue loss linear in ε while Eq. 8
+makes the RR sample size (hence memory and time) shrink as 1/ε².  The sweep runs on the EPINIONS
 analog (whose larger OPT lower bounds keep the honest ``L(s, ε)`` below
 the raised cap, so ε — not the cap — controls θ).  The paper itself sits
 at ε = 0.1 (quality) and ε = 0.3 (scalability) on this trade-off.

@@ -11,7 +11,7 @@ are identical; only the random draws differ).
 
 import pytest
 
-from repro.core.ticsrm import ti_csrm
+from repro.api import EngineSpec, solve
 from repro.experiments.reporting import format_table, save_report
 
 from benchmarks.conftest import run_once
@@ -19,7 +19,7 @@ from benchmarks.conftest import run_once
 
 def _compare(dataset, config, h_label):
     instance = dataset.build_instance("linear", 1.0)
-    common = dict(
+    spec = EngineSpec(
         eps=config.eps,
         theta_cap=config.theta_cap,
         opt_lower=dataset.opt_lower_bounds(),
@@ -28,7 +28,7 @@ def _compare(dataset, config, h_label):
     rows = []
     results = {}
     for share in (False, True):
-        result = ti_csrm(instance, share_samples=share, **common)
+        result = solve(instance, "TI-CSRM", spec, share_samples=share)
         results[share] = result
         rows.append(
             {

@@ -9,7 +9,8 @@ Paper shape being reproduced:
 * under constant incentives TI-CARM and TI-CSRM coincide exactly;
 * revenue decreases as α grows (incentives eat the budget).
 
-Absolute revenues differ (scaled-down analogs, capped θ — DESIGN.md §4);
+Absolute revenues differ (scaled-down analogs, capped θ — the opening of
+docs/EXPERIMENTS.md and docs/ARCHITECTURE.md §5);
 the orderings and trends are the claim under test.
 """
 

@@ -6,7 +6,7 @@ h = 8, θ capped at 20k):
 * sampler throughput — RR sets/second via ``sample_batch_flat``;
 * ``mark_covered_by`` latency — 200 covers of the highest-coverage nodes
   over a 20k-set collection;
-* full ``TIEngine.run`` wall time for TI-CSRM and TI-CARM.
+* full ``repro.solve`` wall time for TI-CSRM and TI-CARM.
 
 Results are written machine-readable to ``BENCH_hotpaths.json`` at the
 repo root so future PRs can track the perf trajectory; the JSON also
@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.ti_engine import TIEngine
+from repro.api import EngineSpec, solve
 from repro.experiments.datasets import build_dataset
 from repro.rrset.backend import ParallelBackend, SerialBackend, make_backend
 from repro.rrset.collection import RRCollection
@@ -112,19 +112,15 @@ def bench_mark_covered(coll: RRCollection) -> float:
     return time.perf_counter() - t0
 
 
-def bench_engine(ds, inst, rule: str, selector: str, name: str) -> float:
-    engine = TIEngine(
-        inst,
-        candidate_rule=rule,
-        selector=selector,
+def bench_engine(ds, inst, name: str) -> float:
+    spec = EngineSpec(
         eps=WORKLOAD["eps"],
         theta_cap=WORKLOAD["theta_cap"],
         opt_lower=ds.opt_lower_bounds(),
         seed=WORKLOAD["seed"],
-        algorithm_name=name,
     )
     t0 = time.perf_counter()
-    engine.run()
+    solve(inst, name, spec)
     return time.perf_counter() - t0
 
 
@@ -132,8 +128,8 @@ def run_benchmarks() -> dict:
     ds, inst = _build()
     sets_per_s, coll = bench_sampler(inst)
     cover_s = bench_mark_covered(coll)
-    csrm_s = bench_engine(ds, inst, "cs", "rate", "TI-CSRM")
-    carm_s = bench_engine(ds, inst, "ca", "revenue", "TI-CARM")
+    csrm_s = bench_engine(ds, inst, "TI-CSRM")
+    carm_s = bench_engine(ds, inst, "TI-CARM")
     current = {
         "sampler_sets_per_s": round(sets_per_s, 1),
         "mark_covered_s_per_200": round(cover_s, 5),

@@ -4,9 +4,10 @@ Paper shape (GB of process memory at full scale): memory grows linearly
 in h, and TI-CSRM needs more than TI-CARM — typically 20–40% more on
 LIVEJOURNAL — because its cost-sensitive seeding certifies larger seed
 set sizes, hence larger ``L(s, ε)`` RR samples.  The reproduced quantity
-is the analytically tracked RR storage in MB (DESIGN.md §4), measured on
-analogs small enough that the honest Eq.-8 sample sizes stay below the
-θ cap (a binding cap would equalize the two algorithms by construction).
+is the tracked RR storage in MB (docs/ARCHITECTURE.md §4.1), measured on
+analogs (the opening of docs/EXPERIMENTS.md) small enough that the
+honest Eq.-8 sample sizes stay below the θ cap (a binding cap would
+equalize the two algorithms by construction).
 """
 
 from dataclasses import replace

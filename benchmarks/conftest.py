@@ -2,7 +2,7 @@
 
 Benchmarks run the real experiment pipelines on bench-scale analogs
 (larger than the unit-test fixtures, smaller than the paper's crawls;
-see DESIGN.md §4).  Set ``REPRO_BENCH_FULL=1`` to run the full paper α
+see the opening of docs/EXPERIMENTS.md).  Set ``REPRO_BENCH_FULL=1`` to run the full paper α
 grids and h sweeps instead of the quick subsets.
 
 Every bench prints the paper-style rows/series it regenerates and also

@@ -34,13 +34,13 @@ def allocate(graph, ad_probs, seed):
     ]
     incentives = [repro.compute_incentives(s, "linear", 1.0) for s in spreads]
     instance = repro.RMInstance(graph, advertisers, ad_probs, incentives)
-    return repro.ti_csrm(
-        instance,
+    spec = repro.EngineSpec(
         eps=0.5,
         theta_cap=1500,
         opt_lower=[float(s.max()) for s in spreads],
         seed=seed,
     )
+    return repro.solve(instance, "TI-CSRM", spec)
 
 
 def main() -> None:

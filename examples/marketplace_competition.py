@@ -21,6 +21,10 @@ import repro
 from repro.graph.generators import powerlaw_configuration
 from repro.topics.distribution import peaked_distribution, pure_competition_ads
 
+#: TI-CSRM's accuracy knobs for every run below; each run adds its
+#: instance's OPT lower bounds and the seed as overrides.
+SPEC = repro.EngineSpec(eps=0.4, theta_cap=2500)
+
 
 def build_instance(graph, tic, gammas, alpha, budget_multiple, seed):
     """Price incentives and budgets for a list of ad distributions."""
@@ -52,9 +56,7 @@ def run_marketplace(tag, graph, tic, gammas, seed):
     instance, opt_lower = build_instance(
         graph, tic, gammas, alpha=1.0, budget_multiple=4.0, seed=seed
     )
-    result = repro.ti_csrm(
-        instance, eps=0.4, theta_cap=2500, opt_lower=opt_lower, seed=seed
-    )
+    result = repro.solve(instance, "TI-CSRM", SPEC, opt_lower=opt_lower, seed=seed)
     per_ad = [f"{r:7.1f}" for r in result.revenue_per_ad]
     print(f"{tag:>16}: total revenue {result.total_revenue:8.1f} | per ad: {per_ad}")
     return result
@@ -98,18 +100,14 @@ def main() -> None:
     solo_instance, solo_lower = build_instance(
         graph, tic, competitive[:1], alpha=1.0, budget_multiple=200.0, seed=seed
     )
-    solo = repro.ti_csrm(
-        solo_instance, eps=0.4, theta_cap=2500, opt_lower=solo_lower, seed=seed
+    solo = repro.solve(
+        solo_instance, "TI-CSRM", SPEC, opt_lower=solo_lower, seed=seed
     )
     contested_instance, contested_lower = build_instance(
         graph, tic, [competitive[0]] * 6, alpha=1.0, budget_multiple=200.0, seed=seed
     )
-    contested = repro.ti_csrm(
-        contested_instance,
-        eps=0.4,
-        theta_cap=2500,
-        opt_lower=contested_lower,
-        seed=seed,
+    contested = repro.solve(
+        contested_instance, "TI-CSRM", SPEC, opt_lower=contested_lower, seed=seed
     )
     drop = 100 * (1 - contested.revenue_per_ad[0] / max(solo.revenue_per_ad[0], 1e-9))
     print(

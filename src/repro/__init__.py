@@ -29,8 +29,9 @@ the worker pool warm::
             inst = dataset.build_instance(budget_override=budget)
             print(session.solve(inst, "TI-CSRM").summary())
 
-The legacy wrappers (``repro.ti_csrm(...)`` etc.) remain as thin,
-bit-identical shims over ``repro.solve``.
+The four paper algorithms are entries of the algorithm registry
+(``repro.algorithm_names()``), not functions of their own: name one in
+``repro.solve`` or ``session.solve``.
 """
 
 from repro.errors import (
@@ -99,10 +100,6 @@ from repro.core import (
     cs_greedy,
     exhaustive_optimum,
     TIEngine,
-    ti_carm,
-    ti_csrm,
-    pagerank_gr,
-    pagerank_rr,
     run_adaptive_campaign,
     theorem2_bound,
     theorem3_bound,
@@ -188,10 +185,6 @@ __all__ = [
     "cs_greedy",
     "exhaustive_optimum",
     "TIEngine",
-    "ti_carm",
-    "ti_csrm",
-    "pagerank_gr",
-    "pagerank_rr",
     "run_adaptive_campaign",
     "theorem2_bound",
     "theorem3_bound",

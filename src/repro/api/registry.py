@@ -5,8 +5,10 @@ Algorithm 2 — how each ad's candidate node is chosen (line 7) and how
 the winning (node, ad) pair is selected among the candidates (line 9).
 The registry makes that observation the architecture: an algorithm *is*
 an :class:`AlgorithmDef` data entry naming its two rules, and the four
-paper algorithms are pre-registered entries rather than hand-copied
-wrapper functions.
+paper algorithms are pre-registered entries (their descriptions and
+guarantees sit beside the registrations at the end of this module).
+:func:`repro.solve` runs any entry under an
+:class:`~repro.api.spec.EngineSpec`.
 
 Rules may be the engine's built-in strings (candidate rules
 ``"ca"``/``"cs"``/``"pagerank"``, selectors
@@ -50,9 +52,8 @@ class AlgorithmDef:
     a caller-supplied ``window`` reaches the engine; the built-in
     ``"ca"``/``"pagerank"`` rules ignore windows, so passing one would
     only disable lazy caching for no behavioral change — the resolver
-    clears it instead, mirroring the legacy harness.  ``label`` maps the
-    resolved spec to the display name stamped on results (TI-CSRM
-    appends its window).
+    clears it instead.  ``label`` maps the resolved spec to the display
+    name stamped on results (TI-CSRM appends its window).
     """
 
     name: str
@@ -158,7 +159,29 @@ def _ticsrm_label(spec: EngineSpec) -> str:
     return "TI-CSRM" if spec.window is None else f"TI-CSRM({spec.window})"
 
 
+# TI-CSRM, the scalable CS-GREEDY: Algorithm 5's candidate (the
+# unassigned node of maximum coverage-to-incentive ratio), and the winner
+# of maximum marginal revenue per marginal payment, subject to budget
+# feasibility.  ``window`` restricts the candidate search to the w
+# unassigned nodes of highest marginal revenue (Section 5, "Revenue &
+# running time vs. window size"): window=1 collapses to TI-CARM's
+# candidate, None (w = n) is the full cost-sensitive rule and the most
+# expensive.  Guarantee: Theorem 3's bound, deteriorated by Theorem 4's
+# additive RR-estimation term.
 register_algorithm("TI-CSRM", "cs", "rate", label=_ticsrm_label)
+# TI-CARM, the scalable CA-GREEDY (Section 4.2): Algorithm 4's candidate
+# (the unassigned node of maximum residual RR coverage), and the winner
+# of maximum marginal revenue, subject to budget feasibility.
+# Guarantee: Theorem 2's bound, deteriorated by Theorem 4's additive
+# RR-estimation term.
 register_algorithm("TI-CARM", "ca", "revenue")
+# The PageRank baselines replace line 7 with the ad-specific PageRank
+# order: the random surfer walks arcs in the influence direction with
+# transition mass proportional to p^i_{u,v}.  PageRank-GR keeps the
+# greedy winner (maximum marginal revenue); PageRank-RR assigns
+# candidates to advertisers in round-robin order.  Budget feasibility
+# and the RR estimates (collections, θ schedules) are TI-CARM's, so
+# differences in outcome isolate the candidate rule, which is the
+# comparison the paper's quality experiments make.
 register_algorithm("PageRank-GR", "pagerank", "revenue")
 register_algorithm("PageRank-RR", "pagerank", "round_robin")

@@ -1,19 +1,16 @@
 """``repro.solve`` — the one-call solving entrypoint.
 
 Every way of running a Section-5 algorithm in this codebase — the
-legacy ``ti_carm``/``ti_csrm``/``pagerank_*`` wrappers, the experiment
-harness, the grid runner, the CLI, adaptive campaigns and
+experiment harness, the grid runner, the CLI, adaptive campaigns and
 :class:`~repro.api.session.AllocationSession` — funnels through
 :func:`solve`: resolve the algorithm in the registry, resolve the
 :class:`~repro.api.spec.EngineSpec`, build one
-:class:`~repro.core.ti_engine.TIEngine`, run it, and stamp the fully
-resolved spec into ``AllocationResult.extras["engine_spec"]`` so every
-result (and every grid manifest row) carries complete provenance.
+:class:`~repro.core.ti_engine.TIEngine` from it, run it, and stamp the
+fully resolved spec into ``AllocationResult.extras["engine_spec"]`` so
+every result (and every grid manifest row) carries complete provenance.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.api.registry import AlgorithmDef, get_algorithm
 from repro.api.spec import EngineSpec
@@ -29,13 +26,12 @@ def resolve_spec(
 ) -> tuple[AlgorithmDef, EngineSpec]:
     """Resolve ``(algorithm, spec, overrides)`` to the spec a solve runs.
 
-    Resolution order (later wins): engine defaults → *spec* → keyword
-    *overrides* → the algorithm's registered ``spec_overrides`` (those
-    define the algorithm, so nothing may undo them).  Algorithms whose
-    candidate rule has no windowed form get ``window`` cleared —
-    exactly what the legacy harness did by passing ``window`` only to
-    ``ti_csrm`` — so a shared grid axis never silently degrades another
-    algorithm's lazy caching.
+    Resolution order (later wins): ``EngineSpec()`` defaults → *spec* →
+    keyword *overrides* → the algorithm's registered ``spec_overrides``
+    (those define the algorithm, so nothing may undo them).  Algorithms
+    whose candidate rule has no windowed form get ``window`` cleared, so
+    a shared grid axis never silently degrades another algorithm's lazy
+    caching.
     """
     definition = get_algorithm(algorithm)
     resolved = (spec or EngineSpec()).override(**overrides)
@@ -53,7 +49,6 @@ def solve(
     *,
     blocked=None,
     session=None,
-    rng=None,
     **overrides,
 ) -> AllocationResult:
     """Run one registered *algorithm* on *instance* under *spec*.
@@ -68,7 +63,7 @@ def solve(
         :func:`~repro.api.registry.register_algorithm`) or an
         :class:`AlgorithmDef` directly.
     spec:
-        An :class:`EngineSpec`; ``None`` means engine defaults.  Extra
+        An :class:`EngineSpec`; ``None`` means ``EngineSpec()``.  Extra
         keyword *overrides* (e.g. ``seed=3``, ``eps=0.5``) are applied
         on top, so quick calls don't need to build a spec by hand.
     blocked:
@@ -79,15 +74,8 @@ def solve(
         through; its warm caches (RR stores, pagerank orders, worker
         pool) are used and extended.  Prefer calling
         ``session.solve(...)``, which validates the instance binding.
-    rng:
-        A pre-seeded generator (anything ``repro._rng.as_generator``
-        accepts) overriding ``spec.seed`` for this call.  Specs carry
-        only JSON-able integer seeds; this is the escape hatch for
-        callers that thread live generators.
 
-    For the same seed this is bit-identical to the legacy wrapper of
-    the same algorithm (``ti_csrm(...)`` etc.) — the wrappers are now
-    shims over this function.  The fully resolved spec is echoed into
+    The fully resolved spec is echoed into
     ``result.extras["engine_spec"]``.
     """
     definition, resolved = resolve_spec(algorithm, spec, **overrides)
@@ -95,22 +83,15 @@ def solve(
     if session is not None:
         warm = session._warm_state_for(instance)
         resolved = session._pin_spec(resolved)
-    engine_kwargs = resolved.engine_kwargs()
-    if rng is not None:
-        engine_kwargs["seed"] = rng
-        # A live generator ran, not the spec's integer seed — the echo
-        # must not claim a reproducible seed that wasn't used.
-        resolved = resolved.override(seed=None)
-    engine = TIEngine(
+    result = TIEngine(
         instance,
+        resolved,
         candidate_rule=definition.candidate_rule,
         selector=definition.selector,
         blocked=blocked,
         algorithm_name=definition.display(resolved),
         warm=warm,
-        **engine_kwargs,
-    )
-    result = engine.run()
+    ).run()
     if warm is not None:
         # Warm mode stores every ad's sets in shared, prob-keyed stores
         # (see TIEngine); echo what actually ran, not what was asked.
@@ -119,25 +100,3 @@ def solve(
     if session is not None:
         session._record_solve(result)
     return result
-
-
-def legacy_solve(
-    instance: RMInstance,
-    algorithm: str,
-    seed,
-    *,
-    blocked=None,
-    **spec_fields,
-) -> AllocationResult:
-    """Shared body of the legacy ``ti_*``/``pagerank_*`` wrappers.
-
-    Compiles keyword knobs into an :class:`EngineSpec` and delegates to
-    :func:`solve`.  *seed* keeps the wrappers' historical contract:
-    integers (and ``None``) become the spec's JSON-able seed; live
-    generators ride the ``rng`` escape hatch (the echoed spec then
-    records ``seed: null`` — a generator's state is not serializable).
-    """
-    if seed is None or isinstance(seed, (int, np.integer)):
-        spec = EngineSpec(seed=None if seed is None else int(seed), **spec_fields)
-        return solve(instance, algorithm, spec, blocked=blocked)
-    return solve(instance, algorithm, EngineSpec(**spec_fields), blocked=blocked, rng=seed)

@@ -1,26 +1,27 @@
 """`EngineSpec`: one validated bundle of every TI-engine knob.
 
-Before this class existed the ~12 engine parameters (``eps``, ``ell``,
-``window``, ``theta_cap``, ``opt_lower``, ``kpt_max_samples``,
-``share_samples``, ``lazy_candidates``, ``sampler_backend``,
-``workers``, ``seed``) were re-threaded by hand through four wrapper
-functions, :class:`~repro.experiments.config.ExperimentConfig`, the
-grid runner and the CLI — with visible drift (knobs reachable from one
-layer but not another).  An :class:`EngineSpec` is the single compiled
-form all of those surfaces produce and every solve consumes:
+The twelve engine parameters (``eps``, ``ell``, ``window``,
+``theta_cap``, ``opt_lower``, ``kpt_max_samples``, ``share_samples``,
+``lazy_candidates``, ``sampler_backend``, ``workers``,
+``rr_bytes_budget``, ``seed``) live here and nowhere else.
+:class:`~repro.experiments.config.ExperimentConfig` (and through it
+grid specs, the CLI and the serve daemon) compiles into an
+:class:`EngineSpec`, and :class:`~repro.core.ti_engine.TIEngine` reads
+every knob from the one it is given:
 
 * **frozen** — a spec never mutates; derive variants with
   :meth:`override` (or :func:`dataclasses.replace`), which re-validates;
-* **validated** — every constraint the engine would reject is rejected
-  at construction, with :class:`~repro.errors.SpecError`;
+* **validated** — every constraint that does not depend on the
+  instance is rejected at construction, with
+  :class:`~repro.errors.SpecError` (the engine itself rejects per-ad
+  ``opt_lower`` bounds that are fewer than the instance's ads);
 * **JSON round-trip** — ``EngineSpec.from_dict(spec.to_dict())``
   equals ``spec`` and ``to_dict()`` is ``json.dumps``-able (per-ad
   ``opt_lower`` arrays become lists; tuples normalize back on load).
   CI checks this invariant on every committed ``specs/*.json``.
 
-The field set intentionally mirrors :class:`~repro.core.ti_engine.TIEngine`'s
-keyword surface minus the two algorithm-defining rules (candidate rule
-and selector come from the :mod:`~repro.api.registry`) and per-call
+The spec holds no algorithm-defining rule (candidate rule and
+selector come from the :mod:`~repro.api.registry`) and no per-call
 data such as ``blocked`` masks, which describe the query, not the
 engine configuration.
 
@@ -67,9 +68,8 @@ _SCALAR_FIELDS = (
 class EngineSpec:
     """Every engine knob of one solve, frozen and validated.
 
-    Defaults equal :class:`~repro.core.ti_engine.TIEngine`'s, so
-    ``EngineSpec()`` configures exactly the engine's out-of-the-box
-    behavior.  ``opt_lower`` is ``"kpt"`` (run TIM's estimator), a
+    The field defaults are the engine's defaults: ``EngineSpec()`` is
+    what :func:`repro.solve` runs when given no spec.  ``opt_lower`` is ``"kpt"`` (run TIM's estimator), a
     non-negative number (one lower bound for every ad), or a sequence
     of per-ad lower bounds (stored as a tuple for hashability); the
     engine floors every numeric bound at 1.0, so zeros are legal.
@@ -132,8 +132,8 @@ class EngineSpec:
     @staticmethod
     def _normalize_opt_lower(value):
         # Zero is allowed: the engine documents a floor of 1.0 on every
-        # bound (legacy wrappers always accepted clamped zeros), so only
-        # negatives and non-finite values are genuine spec errors.
+        # bound, so only negatives and non-finite values are genuine
+        # spec errors.
         if isinstance(value, str):
             if value != "kpt":
                 raise SpecError(f"unknown opt_lower spec {value!r}; options: 'kpt'")
@@ -192,7 +192,7 @@ class EngineSpec:
         return cls.from_dict(data)
 
     # ------------------------------------------------------------------
-    # Derivation / compilation
+    # Derivation
     # ------------------------------------------------------------------
     def override(self, **changes) -> "EngineSpec":
         """A copy with *changes* applied (validation re-runs); no-op → self."""
@@ -202,21 +202,3 @@ class EngineSpec:
         if unknown:
             raise SpecError(f"unknown engine-spec keys: {sorted(unknown)}")
         return dataclasses.replace(self, **changes)
-
-    def engine_kwargs(self) -> dict:
-        """The spec as :class:`~repro.core.ti_engine.TIEngine` keyword args."""
-        opt_lower = self.opt_lower
-        return dict(
-            eps=self.eps,
-            ell=self.ell,
-            window=self.window,
-            theta_cap=self.theta_cap,
-            opt_lower=list(opt_lower) if isinstance(opt_lower, tuple) else opt_lower,
-            kpt_max_samples=self.kpt_max_samples,
-            share_samples=self.share_samples,
-            lazy_candidates=self.lazy_candidates,
-            sampler_backend=self.sampler_backend,
-            workers=self.workers,
-            rr_bytes_budget=self.rr_bytes_budget,
-            seed=self.seed,
-        )

@@ -71,26 +71,39 @@ def _print_run_header(args, dataset) -> None:
     sizing = f"n={effective_n}"
     if args.n is not None and args.n != effective_n:
         sizing += f" (requested --n {args.n})"
-    workers = getattr(args, "workers", 0) or 0
-    backend = "parallel" if workers > 1 else "serial"
+    backend = "parallel" if args.workers > 1 else "serial"
     print(
         f"# dataset={dataset.name} {sizing} m={dataset.graph.m} "
         f"h={dataset.h} seed={args.seed} backend={backend}"
     )
 
 
+def _engine_overrides(args) -> dict:
+    """The engine flags the user set, as ``ExperimentConfig`` fields.
+
+    Unset flags are left out, so a grid spec's own ``config`` block
+    keeps its values unless the command line overrides them.
+    """
+    overrides: dict = {}
+    if args.workers:
+        overrides["workers"] = args.workers
+        overrides["sampler_backend"] = "parallel" if args.workers > 1 else "serial"
+    if args.share_samples:
+        overrides["share_samples"] = True
+    if args.eager:
+        overrides["lazy_candidates"] = False
+    if args.rr_bytes_budget:
+        overrides["rr_bytes_budget"] = args.rr_bytes_budget
+    return overrides
+
+
 def _config(args) -> ExperimentConfig:
-    workers = getattr(args, "workers", 0) or 0
     return ExperimentConfig(
         eps=args.eps,
         theta_cap=args.theta_cap,
         grid_mode=args.grid,
         seed=args.seed,
-        sampler_backend="parallel" if workers > 1 else "serial",
-        workers=workers,
-        share_samples=getattr(args, "share_samples", False),
-        lazy_candidates=not getattr(args, "eager", False),
-        rr_bytes_budget=getattr(args, "rr_bytes_budget", 0) or 0,
+        **_engine_overrides(args),
     )
 
 
@@ -196,17 +209,6 @@ def cmd_grid(args) -> int:
 
     spec = GridSpec.from_json(args.spec)
     manifest = args.manifest or default_manifest_path(spec)
-    overrides: dict = {}
-    workers = getattr(args, "workers", 0) or 0
-    if workers:
-        overrides["workers"] = workers
-        overrides["sampler_backend"] = "parallel" if workers > 1 else "serial"
-    if getattr(args, "share_samples", False):
-        overrides["share_samples"] = True
-    if getattr(args, "eager", False):
-        overrides["lazy_candidates"] = False
-    if getattr(args, "rr_bytes_budget", 0):
-        overrides["rr_bytes_budget"] = args.rr_bytes_budget
     mode = args.execution or spec.execution_mode
     total = len(spec.cells())
     print(
@@ -245,7 +247,7 @@ def cmd_grid(args) -> int:
         spec,
         manifest,
         resume=not args.fresh,
-        config_overrides=overrides,
+        config_overrides=_engine_overrides(args),
         progress=progress,
         execution=args.execution,
         cell_timeout=args.cell_timeout,
@@ -476,31 +478,36 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--theta-cap", type=int, default=2000, dest="theta_cap")
     common.add_argument("--seed", type=int, default=7)
     common.add_argument("--grid", choices=("quick", "paper"), default="quick")
-    common.add_argument(
+
+    # Engine flags, only for the commands that solve (run, sweep, serve,
+    # grid); see _engine_overrides.
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument(
         "--workers",
         type=int,
         default=0,
         help="RR sampler worker processes; > 1 selects the shared-memory "
         "parallel backend, 0/1 the bit-reproducible serial one",
     )
-    common.add_argument(
+    engine.add_argument(
         "--share-samples",
         action="store_true",
         dest="share_samples",
         help="store probability-identical ads' RR sets once (shared stores)",
     )
-    common.add_argument(
+    engine.add_argument(
         "--eager",
         action="store_true",
         help="disable CELF-style lazy candidate caching (full rescans)",
     )
-    common.add_argument(
+    engine.add_argument(
         "--rr-bytes-budget",
         type=int,
         default=0,
         dest="rr_bytes_budget",
         help="RAM budget in bytes per shared RR store; past it members "
-        "spill to a temp-file memmap (0 = unbounded)",
+        "spill to a temp-file memmap (0 = not set: unbounded, or the grid "
+        "spec's value)",
     )
 
     p = sub.add_parser("datasets", parents=[common], help="list analog datasets")
@@ -509,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.api.registry import algorithm_names
 
-    p = sub.add_parser("run", parents=[common], help="run one algorithm")
+    p = sub.add_parser("run", parents=[common, engine], help="run one algorithm")
     p.add_argument("--dataset", choices=sorted(DATASET_BUILDERS), required=True)
     # Choices come from the live registry, so algorithms registered
     # before main() (e.g. via a sitecustomize or wrapper script) are
@@ -523,7 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", parents=[common], help="alpha sweep (Fig. 2/3)")
+    p = sub.add_parser(
+        "sweep", parents=[common, engine], help="alpha sweep (Fig. 2/3)"
+    )
     p.add_argument("--dataset", choices=sorted(DATASET_BUILDERS), required=True)
     p.add_argument(
         "--models",
@@ -544,7 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser(
-        "grid", help="run a declarative scenario grid from a JSON spec"
+        "grid",
+        parents=[engine],
+        help="run a declarative scenario grid from a JSON spec; engine "
+        "flags that are set override the spec's config in every cell",
     )
     p.add_argument("--spec", required=True, help="path to a GridSpec JSON file")
     p.add_argument(
@@ -589,32 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retries after a cell's first failure before quarantining it "
         "(default: the spec's execution.max_retries, else 0)",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="RR sampler worker processes for every cell (> 1 selects the "
-        "shared-memory parallel backend)",
-    )
-    p.add_argument(
-        "--share-samples",
-        action="store_true",
-        dest="share_samples",
-        help="shared RR stores for probability-identical ads, every cell",
-    )
-    p.add_argument(
-        "--eager",
-        action="store_true",
-        help="disable lazy candidate caching in every cell",
-    )
-    p.add_argument(
-        "--rr-bytes-budget",
-        type=int,
-        default=0,
-        dest="rr_bytes_budget",
-        help="per-store RAM budget in bytes for every cell; past it RR "
-        "members spill to a temp-file memmap (0 = spec default)",
-    )
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser(
@@ -655,13 +641,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        parents=[common],
+        parents=[common, engine],
         help="run the allocation daemon over a warm session pool",
         description="Long-running HTTP daemon: POST /solve queries route "
         "onto pooled warm AllocationSessions keyed by (dataset, probs "
         "family); GET /healthz and /stats expose liveness and counters. "
         "SIGTERM/SIGINT drain gracefully (in-flight queries finish, all "
-        "sessions close). The engine knobs in the common flags are fixed "
+        "sessions close). The accuracy and engine flags are fixed "
         "for every session at startup; per-query axes travel in the "
         "query body (see `repro query`).",
     )

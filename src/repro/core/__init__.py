@@ -18,9 +18,6 @@ from repro.core.oracles import (
 from repro.core.greedy import ca_greedy, cs_greedy, exhaustive_optimum
 from repro.core.seedsize import next_seed_size
 from repro.core.ti_engine import TIEngine
-from repro.core.ticarm import ti_carm
-from repro.core.ticsrm import ti_csrm
-from repro.core.baselines import pagerank_gr, pagerank_rr
 from repro.core.adaptive import AdaptiveCampaign, CampaignResult, WindowOutcome, run_adaptive_campaign
 from repro.core.curvature import (
     SpreadSetFunction,
@@ -58,10 +55,6 @@ __all__ = [
     "exhaustive_optimum",
     "next_seed_size",
     "TIEngine",
-    "ti_carm",
-    "ti_csrm",
-    "pagerank_gr",
-    "pagerank_rr",
     "AdaptiveCampaign",
     "CampaignResult",
     "WindowOutcome",

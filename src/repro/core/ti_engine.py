@@ -91,11 +91,12 @@ Performance notes (flat data plane + lazy candidates):
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro._rng import as_generator, spawn
-from repro.errors import AllocationError, EstimationError, WorkerCrashError
+from repro.errors import AllocationError, WorkerCrashError
 from repro.graph.pagerank import pagerank_order
 from repro.rrset.backend import (
     FAULT_COUNTER_KEYS,
@@ -106,10 +107,15 @@ from repro.rrset.backend import (
     resolve_backend,
 )
 from repro.rrset.collection import RRCollection, SharedRRCollection, SharedRRStore
-from repro.rrset.tim import DEFAULT_THETA_CAP, KPTEstimator, sample_size
+from repro.rrset.tim import KPTEstimator, sample_size
 from repro.core.allocation import Allocation, AllocationResult
 from repro.core.instance import RMInstance
 from repro.core.seedsize import next_seed_size
+
+if TYPE_CHECKING:
+    # Annotation only: repro.api imports this module (validate_rules),
+    # so a runtime import here would be circular.
+    from repro.api.spec import EngineSpec
 
 CANDIDATE_RULES = ("ca", "cs", "pagerank")
 SELECTORS = ("revenue", "rate", "round_robin")
@@ -248,74 +254,55 @@ class _AdState:
 
 
 class TIEngine:
-    """One configured run of the scalable greedy skeleton."""
+    """One configured run of the scalable greedy skeleton.
+
+    Every engine knob is read from *spec*, an
+    :class:`~repro.api.spec.EngineSpec` (which validated it); the two
+    Algorithm-2 rules, the ``blocked`` mask, the result label and the
+    warm state are per-run data.  :func:`repro.solve` builds and runs
+    one engine per call.
+    """
 
     def __init__(
         self,
         instance: RMInstance,
+        spec: EngineSpec,
         *,
-        candidate_rule: str = "cs",
-        selector: str = "rate",
-        eps: float = 0.1,
-        ell: float = 1.0,
-        window: int | None = None,
-        theta_cap: int | None = DEFAULT_THETA_CAP,
-        opt_lower: str | float | list[float] = "kpt",
-        kpt_max_samples: int = 5_000,
-        share_samples: bool = False,
-        lazy_candidates: bool = True,
-        sampler_backend: str = "serial",
-        workers: int | None = None,
-        rr_bytes_budget: int | None = None,
+        candidate_rule: str | Callable,
+        selector: str | Callable,
         blocked=None,
-        seed=None,
         algorithm_name: str | None = None,
         warm: EngineWarmState | None = None,
     ) -> None:
         validate_rules(candidate_rule, selector)
-        try:
-            sampler_backend, workers = resolve_backend(sampler_backend, workers)
-        except EstimationError as exc:
-            raise AllocationError(str(exc)) from None
-        if rr_bytes_budget is not None and rr_bytes_budget < 1:
+        if isinstance(spec.opt_lower, tuple) and len(spec.opt_lower) < instance.h:
             raise AllocationError(
-                f"rr_bytes_budget must be >= 1, got {rr_bytes_budget}"
+                f"opt_lower has {len(spec.opt_lower)} per-ad bounds but the "
+                f"instance has {instance.h} ads"
             )
-        if eps <= 0:
-            raise AllocationError(f"eps must be positive, got {eps}")
-        if window is not None and window < 1:
-            raise AllocationError(f"window must be >= 1, got {window}")
         self.instance = instance
+        self.spec = spec
         self.candidate_rule = candidate_rule
         self.selector = selector
-        self.eps = float(eps)
-        self.ell = float(ell)
-        self.window = window
-        self.theta_cap = theta_cap
-        self.opt_lower_spec = opt_lower
-        self.kpt_max_samples = int(kpt_max_samples)
         # Warm mode (a session's EngineWarmState) always stores sets in
         # prob-keyed shared stores — that is what makes them reusable by
         # the next solve — so it implies share_samples semantics.
         self._warm = warm
-        self.share_samples = bool(share_samples) or warm is not None
+        self.share_samples = bool(spec.share_samples) or warm is not None
         # Laziness is exact except under the windowed CS rule (see module
         # docstring) and is unproven for arbitrary callable rules, so both
         # disable it; lazy_candidates=False forces a full rescan per round
         # and exists for verification/benchmark comparisons.
         self.lazy_candidates = (
-            bool(lazy_candidates) and window is None and isinstance(candidate_rule, str)
+            bool(spec.lazy_candidates)
+            and spec.window is None
+            and isinstance(candidate_rule, str)
         )
-        # Sampling backend seam (normalized by resolve_backend above):
-        # "serial" reproduces the bare RRSampler streams bit for bit;
-        # "parallel" (or workers > 1) fans batches over one
-        # SharedGraphPool shared by every ad of this run.
-        self.sampler_backend = sampler_backend
-        self.workers = workers
-        # Per-store RAM budget (None = unbounded); flows into every
-        # SharedRRStore this run creates.
-        self.rr_bytes_budget = (
-            None if rr_bytes_budget is None else int(rr_bytes_budget)
+        # Sampling backend seam: "serial" reproduces the bare RRSampler
+        # streams bit for bit; "parallel" (or workers > 1) fans batches
+        # over one SharedGraphPool shared by every ad of this run.
+        self.sampler_backend, self.workers = resolve_backend(
+            spec.sampler_backend, spec.workers
         )
         self._pool: SharedGraphPool | None = None
         self._pool_failed = False
@@ -325,7 +312,7 @@ class TIEngine:
             warm.counters if warm is not None else new_fault_counters()
         )
         self.blocked = None if blocked is None else np.asarray(blocked, dtype=bool)
-        self.rng = as_generator(seed)
+        self.rng = as_generator(spec.seed)
         rule_name = getattr(candidate_rule, "__name__", candidate_rule)
         selector_name = getattr(selector, "__name__", selector)
         self.algorithm_name = algorithm_name or f"TI[{rule_name}/{selector_name}]"
@@ -361,24 +348,31 @@ class TIEngine:
         init, after a KPT-parameter change and after a mutation dropped
         the old one (docs/ARCHITECTURE.md §5).
         """
+        spec = self.spec
         n = self.instance.n
-        spec = self.opt_lower_spec
-        if isinstance(spec, str):
-            if spec != "kpt":
-                raise AllocationError(f"unknown opt_lower spec {spec!r}")
-            assert state.kpt is not None
-            if s > 1 and self.theta_cap is not None:
+        if spec.opt_lower == "kpt":
+            if s > 1 and spec.theta_cap is not None:
                 theta = sample_size(
-                    n, s, self.eps, self.ell, state.kpt.ceiling, self.theta_cap
+                    n, s, spec.eps, spec.ell, state.kpt.ceiling, spec.theta_cap
                 )
-                if theta == self.theta_cap:
+                if theta == spec.theta_cap:
                     return theta
-            opt_lower = max(state.kpt.estimate(s), 1.0)
-        elif isinstance(spec, (list, tuple, np.ndarray)):
-            opt_lower = max(float(spec[ad]), 1.0)
+            opt_lower = state.kpt.estimate(s)
+        elif isinstance(spec.opt_lower, tuple):
+            opt_lower = spec.opt_lower[ad]
         else:
-            opt_lower = max(float(spec), 1.0)
-        return sample_size(n, s, self.eps, self.ell, opt_lower, self.theta_cap)
+            opt_lower = spec.opt_lower
+        return sample_size(
+            n, s, spec.eps, spec.ell, max(opt_lower, 1.0), spec.theta_cap
+        )
+
+    def _new_kpt(self, sampler: SamplerBackend, rng) -> KPTEstimator:
+        return KPTEstimator(
+            sampler,
+            ell=self.spec.ell,
+            rng=rng,
+            max_samples=self.spec.kpt_max_samples,
+        )
 
     def _prob_group_key(self, ad: int) -> bytes:
         """Ads share a store iff their probability vectors are identical.
@@ -472,13 +466,14 @@ class TIEngine:
         # created by an earlier solve — including their already-sampled
         # stores — are found and reused here.
         groups = self._warm.stores if self._warm is not None else {}
+        uses_kpt = self.spec.opt_lower == "kpt"
+        kpt_params = (self.spec.ell, self.spec.kpt_max_samples)
         counted: set[bytes] = set()
         for ad in range(h):
             state = _AdState()
             state.rng = rngs[ad]
             if self.share_samples:
                 key = self._prob_group_key(ad)
-                kpt_params = (self.ell, self.kpt_max_samples)
                 group = groups.get(key)
                 if self._warm is not None and key not in counted:
                     # Reuse observability: one hit/miss per distinct
@@ -489,25 +484,16 @@ class TIEngine:
                     ] += 1
                 if group is None:
                     sampler = self._make_sampler(ad)
-                    kpt = (
-                        KPTEstimator(
-                            sampler,
-                            ell=self.ell,
-                            rng=state.rng,
-                            max_samples=self.kpt_max_samples,
-                        )
-                        if self.opt_lower_spec == "kpt"
-                        else None
-                    )
+                    kpt = self._new_kpt(sampler, state.rng) if uses_kpt else None
                     group = _WarmGroup(
                         sampler,
-                        SharedRRStore(n, bytes_budget=self.rr_bytes_budget),
+                        SharedRRStore(n, bytes_budget=self.spec.rr_bytes_budget),
                         state.rng,
                         kpt,
                         kpt_params if kpt is not None else None,
                     )
                     groups[key] = group
-                elif self.opt_lower_spec == "kpt" and (
+                elif uses_kpt and (
                     group.kpt is None or group.kpt_params != kpt_params
                 ):
                     # Either the session's earlier solves priced OPT_s
@@ -515,12 +501,7 @@ class TIEngine:
                     # accuracy parameters — the cached bounds would be
                     # wrong for this solve, so rebuild (same sampler and
                     # RNG stream; identical re-solves still hit the cache).
-                    group.kpt = KPTEstimator(
-                        group.sampler,
-                        ell=self.ell,
-                        rng=group.rng,
-                        max_samples=self.kpt_max_samples,
-                    )
+                    group.kpt = self._new_kpt(group.sampler, group.rng)
                     group.kpt_params = kpt_params
                 state.sampler = group.sampler
                 state.store = group.store
@@ -529,13 +510,8 @@ class TIEngine:
                 state.collection = SharedRRCollection(group.store)
             else:
                 state.sampler = self._make_sampler(ad)
-                if self.opt_lower_spec == "kpt":
-                    state.kpt = KPTEstimator(
-                        state.sampler,
-                        ell=self.ell,
-                        rng=state.rng,
-                        max_samples=self.kpt_max_samples,
-                    )
+                if uses_kpt:
+                    state.kpt = self._new_kpt(state.sampler, state.rng)
                 state.collection = RRCollection(n)
             state.s_est = 1
             state.theta = self._theta_for(state, ad, 1)
@@ -595,7 +571,7 @@ class TIEngine:
             return node
         # "cs": Algorithm 5's coverage-to-incentive ratio argmax.
         node = state.collection.best_node_by_ratio(
-            self.instance.incentives[ad], allowed, self.window
+            self.instance.incentives[ad], allowed, self.spec.window
         )
         if node is not None and state.collection.residual_count(node) == 0:
             # Max ratio can only be achieved at zero coverage if every
@@ -783,7 +759,7 @@ class TIEngine:
                 store_bytes / total_sets if total_sets else 0.0
             ),
             "spilled_stores": spilled_stores,
-            "rr_bytes_budget": self.rr_bytes_budget,
+            "rr_bytes_budget": self.spec.rr_bytes_budget,
         }
         return AllocationResult(
             allocation=allocation,
@@ -796,8 +772,8 @@ class TIEngine:
                 "theta_per_ad": [s.theta for s in self._states],
                 "seed_size_estimate_per_ad": [s.s_est for s in self._states],
                 "memory_bytes": memory,
-                "eps": self.eps,
-                "window": self.window,
+                "eps": self.spec.eps,
+                "window": self.spec.window,
                 "candidate_rule": getattr(
                     self.candidate_rule, "__name__", self.candidate_rule
                 ),

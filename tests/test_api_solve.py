@@ -1,26 +1,16 @@
-"""repro.solve: legacy bit-identity, blocked parity, provenance echo."""
+"""repro.solve: engine identity, blocked masks, provenance echo."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.api import EngineSpec, solve
-from repro.core.baselines import pagerank_gr, pagerank_rr
 from repro.core.ti_engine import TIEngine
-from repro.core.ticarm import ti_carm
-from repro.core.ticsrm import ti_csrm
 
 from tests.conftest import make_tiny_instance
 
-LEGACY_KWARGS = dict(eps=0.8, theta_cap=150, opt_lower=1.0, seed=17)
 SPEC = EngineSpec(eps=0.8, theta_cap=150, opt_lower=1.0, seed=17)
 
-WRAPPERS = {
-    "TI-CSRM": ti_csrm,
-    "TI-CARM": ti_carm,
-    "PageRank-GR": pagerank_gr,
-    "PageRank-RR": pagerank_rr,
-}
 ENGINE_RULES = {
     "TI-CSRM": ("cs", "rate"),
     "TI-CARM": ("ca", "revenue"),
@@ -36,64 +26,57 @@ def _same_result(a, b):
     assert a.algorithm == b.algorithm
 
 
-class TestLegacyBitIdentity:
-    @pytest.mark.parametrize("name", sorted(WRAPPERS))
-    def test_solve_matches_direct_engine(self, name):
-        """solve(instance, name, spec) ≡ the pre-API direct engine call."""
-        inst = make_tiny_instance()
-        rule, selector = ENGINE_RULES[name]
-        direct = TIEngine(
-            inst,
-            candidate_rule=rule,
-            selector=selector,
-            algorithm_name=name,
-            **LEGACY_KWARGS,
-        ).run()
-        _same_result(solve(inst, name, SPEC), direct)
+def _direct(inst, name, spec, label=None):
+    rule, selector = ENGINE_RULES[name]
+    return TIEngine(
+        inst, spec, candidate_rule=rule, selector=selector,
+        algorithm_name=label or name,
+    ).run()
 
-    @pytest.mark.parametrize("name", sorted(WRAPPERS))
-    def test_wrappers_are_shims_over_solve(self, name):
+
+class TestLegacyBitIdentity:
+    @pytest.mark.parametrize("name", sorted(ENGINE_RULES))
+    def test_solve_matches_direct_engine(self, name):
+        """solve(instance, name, spec) ≡ the engine built from the same spec."""
         inst = make_tiny_instance()
-        _same_result(WRAPPERS[name](inst, **LEGACY_KWARGS), solve(inst, name, SPEC))
+        _same_result(solve(inst, name, SPEC), _direct(inst, name, SPEC))
 
     def test_windowed_ticsrm_identity(self):
         inst = make_tiny_instance()
-        via_wrapper = ti_csrm(inst, window=2, **LEGACY_KWARGS)
         via_solve = solve(inst, "TI-CSRM", SPEC, window=2)
-        _same_result(via_wrapper, via_solve)
+        direct = _direct(inst, "TI-CSRM", SPEC.override(window=2), "TI-CSRM(2)")
+        _same_result(via_solve, direct)
         assert via_solve.algorithm == "TI-CSRM(2)"
-
-    def test_generator_seed_still_accepted(self):
-        inst = make_tiny_instance()
-        a = ti_csrm(inst, eps=0.8, theta_cap=150, opt_lower=1.0,
-                    seed=np.random.default_rng(3))
-        b = ti_csrm(inst, eps=0.8, theta_cap=150, opt_lower=1.0,
-                    seed=np.random.default_rng(3))
-        _same_result(a, b)
-        # A live generator is not JSON-able; the echoed spec records null.
-        assert a.extras["engine_spec"]["seed"] is None
 
 
 class TestBlockedParity:
-    """Satellite bugfix: `blocked` must exist on every algorithm."""
+    """`blocked` must be respected by every algorithm, cold and warm."""
 
-    @pytest.mark.parametrize("name", sorted(WRAPPERS))
-    def test_blocked_kwarg_respected_everywhere(self, name):
-        inst = make_tiny_instance()
+    @staticmethod
+    def _blocked(inst):
         blocked = np.zeros(inst.n, dtype=bool)
         blocked[[0, 3]] = True
-        result = WRAPPERS[name](inst, blocked=blocked, **LEGACY_KWARGS)
-        seeded = {node for seeds in result.allocation.seed_sets() for node in seeds}
-        assert not seeded & {0, 3}
+        return blocked
 
-    @pytest.mark.parametrize("name", sorted(WRAPPERS))
+    @staticmethod
+    def _seeded(result):
+        return {node for seeds in result.allocation.seed_sets() for node in seeds}
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_RULES))
+    def test_blocked_kwarg_respected_everywhere(self, name):
+        """The same mask through a session's warm (shared-store) path."""
+        inst = make_tiny_instance()
+        with repro.AllocationSession(inst.graph, spec=SPEC) as session:
+            assert self._seeded(session.solve(inst, name)) & {0, 3}
+            result = session.solve(inst, name, blocked=self._blocked(inst))
+        assert not self._seeded(result) & {0, 3}
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_RULES))
     def test_blocked_through_solve(self, name):
         inst = make_tiny_instance()
-        blocked = np.zeros(inst.n, dtype=bool)
-        blocked[1] = True
-        result = solve(inst, name, SPEC, blocked=blocked)
-        seeded = {node for seeds in result.allocation.seed_sets() for node in seeds}
-        assert 1 not in seeded
+        assert self._seeded(solve(inst, name, SPEC)) & {0, 3}
+        result = solve(inst, name, SPEC, blocked=self._blocked(inst))
+        assert not self._seeded(result) & {0, 3}
 
 
 class TestProvenanceEcho:

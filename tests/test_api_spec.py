@@ -114,17 +114,6 @@ class TestRoundTrip:
 
 
 class TestEngineKwargs:
-    def test_kwargs_cover_every_engine_knob(self):
-        kwargs = EngineSpec(opt_lower=(2.0, 3.0)).engine_kwargs()
-        assert set(kwargs) == {
-            "eps", "ell", "window", "theta_cap", "opt_lower",
-            "kpt_max_samples", "share_samples", "lazy_candidates",
-            "sampler_backend", "workers", "rr_bytes_budget",
-            "seed",
-        }
-        # Tuples decay to lists so the engine's isinstance checks hold.
-        assert kwargs["opt_lower"] == [2.0, 3.0]
-
     def test_config_compiles_to_spec(self):
         from repro.experiments.config import ExperimentConfig
 

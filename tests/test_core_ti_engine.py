@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.api import AllocationSession, EngineSpec
+from repro.api import AllocationSession, EngineSpec, solve
 from repro.core.ads import Advertiser
-from repro.core.baselines import pagerank_gr, pagerank_rr
 from repro.core.instance import RMInstance
 from repro.core.oracles import ExactOracle
 from repro.core.ti_engine import TIEngine
-from repro.core.ticarm import ti_carm
-from repro.core.ticsrm import ti_csrm
 from repro.errors import AllocationError
+from repro.experiments.datasets import build_dataset
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.updates import compile_updates
@@ -30,37 +28,45 @@ def small_instance(h=2, budget=12.0, seed=0, n=40, zero_costs=False):
     return RMInstance(g, advs, probs, incentives)
 
 
-COMMON = dict(eps=0.8, theta_cap=400, opt_lower=3.0, seed=5)
+SPEC = EngineSpec(eps=0.8, theta_cap=400, opt_lower=3.0, seed=5)
 
 
 class TestEngineValidation:
     def test_unknown_rules_rejected(self):
         inst = small_instance()
         with pytest.raises(AllocationError):
-            TIEngine(inst, candidate_rule="bogus")
+            TIEngine(inst, SPEC, candidate_rule="bogus", selector="rate")
         with pytest.raises(AllocationError):
-            TIEngine(inst, selector="bogus")
-        with pytest.raises(AllocationError):
-            TIEngine(inst, eps=0.0)
-        with pytest.raises(AllocationError):
-            TIEngine(inst, window=0)
+            TIEngine(inst, SPEC, candidate_rule="cs", selector="bogus")
 
-    def test_unknown_opt_lower_spec(self):
-        inst = small_instance()
-        engine = TIEngine(inst, opt_lower="nonsense")
+    def test_short_per_ad_opt_lower_rejected(self):
+        """Fewer per-ad bounds than ads (say, from a hand-written spec
+        JSON) is a typed error at construction, not an IndexError
+        mid-solve; extra bounds are ignored."""
+        with pytest.raises(AllocationError, match="per-ad bounds"):
+            TIEngine(
+                small_instance(h=2),
+                SPEC.override(opt_lower=[3.0]),
+                candidate_rule="cs",
+                selector="rate",
+            )
+        inst = build_dataset("epinions_syn", n=120, h=3).build_instance()
+        spec = EngineSpec(opt_lower=[5.0], eps=1.0, theta_cap=200, seed=1)
         with pytest.raises(AllocationError):
-            engine.run()
+            solve(inst, "TI-CSRM", spec)
+        longer = solve(inst, "TI-CSRM", spec.override(opt_lower=[5.0] * 4))
+        assert longer.total_seeds > 0
 
 
 class TestInvariants:
     @pytest.mark.parametrize(
-        "runner",
-        [ti_carm, ti_csrm, pagerank_gr, pagerank_rr],
+        "name",
+        ["TI-CARM", "TI-CSRM", "PageRank-GR", "PageRank-RR"],
         ids=["carm", "csrm", "pr-gr", "pr-rr"],
     )
-    def test_disjoint_and_budget_feasible(self, runner):
+    def test_disjoint_and_budget_feasible(self, name):
         inst = small_instance(h=3, budget=10.0)
-        result = runner(inst, **COMMON)
+        result = solve(inst, name, SPEC)
         nodes = [n for n, _ in result.allocation.pairs()]
         assert len(nodes) == len(set(nodes))
         # Budget feasibility under the engine's own estimates.
@@ -69,12 +75,12 @@ class TestInvariants:
 
     def test_theta_respects_cap(self):
         inst = small_instance()
-        result = ti_carm(inst, **COMMON)
+        result = solve(inst, "TI-CARM", SPEC)
         assert all(t <= 400 for t in result.extras["theta_per_ad"])
 
     def test_seed_size_estimates_cover_seeds(self):
         inst = small_instance()
-        result = ti_csrm(inst, **COMMON)
+        result = solve(inst, "TI-CSRM", SPEC)
         for i in range(inst.h):
             assert len(result.allocation.seeds(i)) <= result.extras[
                 "seed_size_estimate_per_ad"
@@ -82,13 +88,13 @@ class TestInvariants:
 
     def test_memory_reported(self):
         inst = small_instance()
-        result = ti_csrm(inst, **COMMON)
+        result = solve(inst, "TI-CSRM", SPEC)
         assert result.extras["memory_bytes"] > 0
 
     def test_deterministic_under_seed(self):
         inst = small_instance()
-        a = ti_csrm(inst, **COMMON)
-        b = ti_csrm(inst, **COMMON)
+        a = solve(inst, "TI-CSRM", SPEC)
+        b = solve(inst, "TI-CSRM", SPEC)
         assert a.allocation.pairs() == b.allocation.pairs()
         assert a.total_revenue == pytest.approx(b.total_revenue)
 
@@ -98,7 +104,9 @@ class TestEstimates:
         """The engine's internal estimate should track the true expected
         revenue of the allocation it returns."""
         inst = small_instance(h=1, budget=15.0, n=25)
-        result = ti_csrm(inst, eps=0.3, theta_cap=20_000, opt_lower=3.0, seed=6)
+        result = solve(
+            inst, "TI-CSRM", EngineSpec(eps=0.3, theta_cap=20_000, opt_lower=3.0, seed=6)
+        )
         seeds = result.allocation.seeds(0)
         if seeds:
             exact = ExactOracle(inst)
@@ -113,7 +121,9 @@ class TestEstimates:
         g = erdos_renyi(15, 0.2, seed=8)
         advs = [Advertiser(index=0, cpe=1.0, budget=5.0)]
         inst = RMInstance(g, advs, [np.zeros(g.m)], [np.full(15, 0.5)])
-        result = ti_csrm(inst, eps=0.8, theta_cap=200, opt_lower=1.0, seed=9)
+        result = solve(
+            inst, "TI-CSRM", EngineSpec(eps=0.8, theta_cap=200, opt_lower=1.0, seed=9)
+        )
         # Every RR set is a singleton; each seed covers ~theta/n sets and
         # budget 5 limits how many fit.
         assert result.payment_per_ad[0] <= 5.0 + 1e-6
@@ -128,8 +138,8 @@ class TestModes:
         probs = [np.full(g.m, 0.3)] * 2
         incentives = [np.full(30, 0.7)] * 2
         inst = RMInstance(g, advs, probs, incentives)
-        a = ti_carm(inst, **COMMON)
-        b = ti_csrm(inst, **COMMON)
+        a = solve(inst, "TI-CARM", SPEC)
+        b = solve(inst, "TI-CSRM", SPEC)
         assert a.total_revenue == pytest.approx(b.total_revenue)
         assert a.allocation.pairs() == b.allocation.pairs()
 
@@ -139,31 +149,31 @@ class TestModes:
         we check the weaker, robust property: revenue is no less than 80%
         of CARM's (they share candidates but rank ads differently)."""
         inst = small_instance(h=2, budget=10.0, seed=11)
-        carm = ti_carm(inst, **COMMON)
-        csrm_w1 = ti_csrm(inst, window=1, **COMMON)
+        carm = solve(inst, "TI-CARM", SPEC)
+        csrm_w1 = solve(inst, "TI-CSRM", SPEC, window=1)
         if carm.total_revenue > 0:
             assert csrm_w1.total_revenue >= 0.5 * carm.total_revenue
 
     def test_window_grows_revenue_weakly(self):
         inst = small_instance(h=2, budget=10.0, seed=12)
         revenues = [
-            ti_csrm(inst, window=w, **COMMON).total_revenue for w in (1, 5, None)
+            solve(inst, "TI-CSRM", SPEC, window=w).total_revenue for w in (1, 5, None)
         ]
         assert max(revenues) >= revenues[0] - 1e-9
 
     def test_round_robin_cycles_ads(self):
         inst = small_instance(h=3, budget=8.0, seed=13)
-        result = pagerank_rr(inst, **COMMON)
+        result = solve(inst, "PageRank-RR", SPEC)
         sizes = [len(result.allocation.seeds(i)) for i in range(3)]
         # Round-robin should not starve any ad (budgets are equal).
         if sum(sizes) >= 3:
             assert min(sizes) >= 1
 
-    def test_pagerank_gr_uses_pagerank_candidates(self):
+    def test_greedy_baseline_uses_pagerank_candidates(self):
         inst = small_instance(h=1, budget=50.0, seed=14, zero_costs=True)
         from repro.graph.pagerank import pagerank_order
 
-        result = pagerank_gr(inst, **COMMON)
+        result = solve(inst, "PageRank-GR", SPEC)
         seeds = result.allocation.seeds(0)
         order = pagerank_order(inst.graph, weights=inst.ad_probs[0]).tolist()
         if seeds:
@@ -202,8 +212,8 @@ class TestKPTCalls:
     def test_every_estimator_is_first_asked_for_s1(self, monkeypatch, share):
         calls = self._spy(monkeypatch)
         inst = small_instance(h=3)
-        ti_csrm(inst, eps=0.8, theta_cap=None, opt_lower="kpt", seed=5,
-                share_samples=share)
+        solve(inst, "TI-CSRM", EngineSpec(eps=0.8, theta_cap=None, opt_lower="kpt",
+                                          seed=5, share_samples=share))
         assert self._first_s(calls) and set(self._first_s(calls)) == {1}
         # Uncapped, θ follows KPT, so the grown seed sizes were asked.
         assert any(s > 1 for _, s in calls)
@@ -237,8 +247,8 @@ class TestKPTCalls:
         # θ ≈ 242 > 50, so the cap binds whatever KPT returns.
         calls = self._spy(monkeypatch)
         inst = small_instance(h=2)
-        result = ti_csrm(inst, eps=0.8, theta_cap=50, opt_lower="kpt", seed=5,
-                         share_samples=share)
+        result = solve(inst, "TI-CSRM", EngineSpec(eps=0.8, theta_cap=50, opt_lower="kpt",
+                                                   seed=5, share_samples=share))
         assert calls and {s for _, s in calls} == {1}
         # The seed size did grow, so calls at s > 1 were skipped.
         assert max(result.extras["seed_size_estimate_per_ad"]) > 1
@@ -248,8 +258,6 @@ class TestKPTCalls:
 class TestNaming:
     def test_algorithm_names(self):
         inst = small_instance()
-        assert ti_carm(inst, **COMMON).algorithm == "TI-CARM"
-        assert ti_csrm(inst, **COMMON).algorithm == "TI-CSRM"
-        assert ti_csrm(inst, window=7, **COMMON).algorithm == "TI-CSRM(7)"
-        assert pagerank_gr(inst, **COMMON).algorithm == "PageRank-GR"
-        assert pagerank_rr(inst, **COMMON).algorithm == "PageRank-RR"
+        for name in ("TI-CARM", "TI-CSRM", "PageRank-GR", "PageRank-RR"):
+            assert solve(inst, name, SPEC).algorithm == name
+        assert solve(inst, "TI-CSRM", SPEC, window=7).algorithm == "TI-CSRM(7)"

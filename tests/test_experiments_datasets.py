@@ -154,13 +154,14 @@ class TestEdgeListDataset:
         assert a.cpes == b.cpes and a.budgets == b.budgets
 
     def test_instance_builds_and_runs(self, edge_list_file):
-        from repro.core.ticarm import ti_carm
+        from repro.api import EngineSpec, solve
 
         ds = build_edge_list_dataset(edge_list_file, h=2, seed=5)
         inst = ds.build_instance(incentive_model="linear", alpha=0.5)
-        result = ti_carm(
-            inst, eps=1.0, theta_cap=100, opt_lower=ds.opt_lower_bounds(), seed=1
+        spec = EngineSpec(
+            eps=1.0, theta_cap=100, opt_lower=ds.opt_lower_bounds(), seed=1
         )
+        result = solve(inst, "TI-CARM", spec)
         assert result.total_revenue >= 0
 
 

@@ -88,13 +88,13 @@ class TestPublicAPI:
     def test_quickstart_flow(self, quick_dataset):
         """The README quickstart, executed."""
         instance = quick_dataset.build_instance(incentive_model="linear", alpha=1.0)
-        result = repro.ti_csrm(
-            instance,
+        spec = repro.EngineSpec(
             eps=0.8,
             theta_cap=500,
             opt_lower=quick_dataset.opt_lower_bounds(),
             seed=1,
         )
+        result = repro.solve(instance, "TI-CSRM", spec)
         assert result.algorithm == "TI-CSRM"
         assert "revenue" in result.summary()
 

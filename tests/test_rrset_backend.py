@@ -273,13 +273,12 @@ class TestResolveBackend:
         crash (regression: the engine used to pass 0 straight through)."""
         from repro.core.instance import RMInstance
         from repro.core.ads import Advertiser
-        from repro.core.ticsrm import ti_csrm
+        from repro.api import EngineSpec, solve
 
         g, probs = mid_graph
         ads = [Advertiser(index=0, cpe=1.0, budget=40.0)]
         inst = RMInstance(g, ads, [probs], [np.full(g.n, 1.0)])
-        result = ti_csrm(
-            inst,
+        spec = EngineSpec(
             eps=0.6,
             theta_cap=300,
             opt_lower=5.0,
@@ -287,6 +286,7 @@ class TestResolveBackend:
             sampler_backend="parallel",
             workers=0,
         )
+        result = solve(inst, "TI-CSRM", spec)
         assert result.extras["sampler_backend"] == "parallel"
         assert result.extras["workers"] == default_workers()
 
@@ -360,14 +360,17 @@ class TestSeamConsumers:
     def test_engine_parallel_deterministic_and_valid(self, mid_graph):
         from repro.core.instance import RMInstance
         from repro.core.ads import Advertiser
-        from repro.core.ticsrm import ti_csrm
+        from repro.api import EngineSpec, solve
 
         g, probs = mid_graph
         ads = [Advertiser(index=i, cpe=1.0, budget=60.0) for i in range(2)]
         inst = RMInstance(g, ads, [probs] * 2, [np.full(g.n, 1.0)] * 2)
-        kw = dict(eps=0.6, theta_cap=400, opt_lower=5.0, seed=13)
-        a = ti_csrm(inst, sampler_backend="parallel", workers=WORKERS, **kw)
-        b = ti_csrm(inst, sampler_backend="parallel", workers=WORKERS, **kw)
+        spec = EngineSpec(
+            eps=0.6, theta_cap=400, opt_lower=5.0, seed=13,
+            sampler_backend="parallel", workers=WORKERS,
+        )
+        a = solve(inst, "TI-CSRM", spec)
+        b = solve(inst, "TI-CSRM", spec)
         for i in range(2):
             assert a.allocation.seeds(i) == b.allocation.seeds(i)
         assert a.extras["sampler_backend"] == "parallel"
@@ -376,14 +379,14 @@ class TestSeamConsumers:
     def test_engine_workers_1_matches_serial(self, mid_graph):
         from repro.core.instance import RMInstance
         from repro.core.ads import Advertiser
-        from repro.core.ticarm import ti_carm
+        from repro.api import EngineSpec, solve
 
         g, probs = mid_graph
         ads = [Advertiser(index=i, cpe=1.0, budget=60.0) for i in range(2)]
         inst = RMInstance(g, ads, [probs] * 2, [np.full(g.n, 1.0)] * 2)
-        kw = dict(eps=0.6, theta_cap=400, opt_lower=5.0, seed=13)
-        serial = ti_carm(inst, **kw)
-        par1 = ti_carm(inst, sampler_backend="parallel", workers=1, **kw)
+        spec = EngineSpec(eps=0.6, theta_cap=400, opt_lower=5.0, seed=13)
+        serial = solve(inst, "TI-CARM", spec)
+        par1 = solve(inst, "TI-CARM", spec, sampler_backend="parallel", workers=1)
         for i in range(2):
             assert serial.allocation.seeds(i) == par1.allocation.seeds(i)
         assert serial.revenue_per_ad == par1.revenue_per_ad

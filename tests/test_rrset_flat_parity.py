@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import EngineSpec
 from repro.core.ads import Advertiser
 from repro.core.instance import RMInstance
 from repro.core.ti_engine import TIEngine
@@ -322,11 +323,10 @@ def distinct_prob_instance(h=3, n=50, seed=21):
 
 
 def run_engine(inst, rule, selector, **overrides):
-    params = dict(
-        eps=0.7, theta_cap=500, opt_lower=4.0, seed=17, share_samples=False
+    spec = EngineSpec(eps=0.7, theta_cap=500, opt_lower=4.0, seed=17).override(
+        **overrides
     )
-    params.update(overrides)
-    return TIEngine(inst, candidate_rule=rule, selector=selector, **params).run()
+    return TIEngine(inst, spec, candidate_rule=rule, selector=selector).run()
 
 
 class TestEngineParity:
@@ -372,12 +372,9 @@ class TestEngineParity:
         inst = distinct_prob_instance()
         engine = TIEngine(
             inst,
+            EngineSpec(eps=0.7, theta_cap=500, opt_lower=4.0, seed=17),
             candidate_rule="cs",
             selector="rate",
-            eps=0.7,
-            theta_cap=500,
-            opt_lower=4.0,
-            seed=17,
         )
         engine.run()
         for state in engine._states:
@@ -403,13 +400,9 @@ class TestEngineParity:
         inst = RMInstance(g, advs, probs, incentives)
         engine = TIEngine(
             inst,
+            EngineSpec(eps=0.8, theta_cap=200, opt_lower=3.0, seed=31, share_samples=True),
             candidate_rule="cs",
             selector="rate",
-            eps=0.8,
-            theta_cap=200,
-            opt_lower=3.0,
-            seed=31,
-            share_samples=True,
         )
         engine.run()
         stores = {id(s.store) for s in engine._states}

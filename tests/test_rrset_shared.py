@@ -129,9 +129,11 @@ class TestEngineSharing:
 
         ds = repro.build_dataset("epinions_syn", n=400, h=6, singleton_rr_samples=800)
         inst = ds.build_instance("linear", 1.0)
-        common = dict(eps=0.8, theta_cap=400, opt_lower=ds.opt_lower_bounds(), seed=3)
-        private = repro.ti_csrm(inst, share_samples=False, **common)
-        shared = repro.ti_csrm(inst, share_samples=True, **common)
+        spec = repro.EngineSpec(
+            eps=0.8, theta_cap=400, opt_lower=ds.opt_lower_bounds(), seed=3
+        )
+        private = repro.solve(inst, "TI-CSRM", spec, share_samples=False)
+        shared = repro.solve(inst, "TI-CSRM", spec, share_samples=True)
         assert shared.extras["memory_bytes"] < private.extras["memory_bytes"]
         # Constraints still hold.
         for i in range(inst.h):
@@ -146,16 +148,11 @@ class TestEngineSharing:
 
         ds = repro.build_dataset("flixster_syn", n=300, h=4, singleton_rr_samples=600)
         inst = ds.build_instance("linear", 1.0)
-        engine = TIEngine(
-            inst,
-            candidate_rule="cs",
-            selector="rate",
-            eps=0.8,
-            theta_cap=300,
-            opt_lower=ds.opt_lower_bounds(),
-            seed=4,
+        spec = repro.EngineSpec(
+            eps=0.8, theta_cap=300, opt_lower=ds.opt_lower_bounds(), seed=4,
             share_samples=True,
         )
+        engine = TIEngine(inst, spec, candidate_rule="cs", selector="rate")
         engine.run()
         stores = {id(s.store) for s in engine._states}
         # 4 ads in 2 pure-competition pairs -> exactly 2 shared stores.
