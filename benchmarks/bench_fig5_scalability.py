@@ -8,7 +8,7 @@ fully competitive marketplace):
 * (c, d) runtime grows with the per-ad budget, TI-CARM's curve flatter.
 
 All runs go through the sampler-backend seam (``bench_config``'s
-``sampler_backend`` / ``workers``, settable via ``REPRO_BENCH_WORKERS``)
+``workers``, settable via ``REPRO_BENCH_WORKERS``)
 so the scalability figures exercise the same code path ``--workers``
 users get — never a privately constructed sampler.
 """
@@ -37,8 +37,7 @@ def test_fig5_runtime_vs_advertisers(benchmark, dataset_name, request, bench_con
     text = format_table(rows)
     header = (
         f"\n== Figure 5(a,b): runtime vs h ({dataset.name}, "
-        f"backend={bench_config.sampler_backend}"
-        f"{f', workers={bench_config.workers}' if bench_config.workers else ''}) ==\n"
+        f"workers={bench_config.workers}) ==\n"
     )
     print(header + text)
     save_report(f"fig5_advertisers_{dataset.name}", text)
@@ -70,8 +69,7 @@ def test_fig5_runtime_vs_budget(benchmark, dataset_name, request, bench_config):
     text = format_table(rows)
     header = (
         f"\n== Figure 5(c,d): runtime vs budget ({dataset.name}, "
-        f"backend={bench_config.sampler_backend}"
-        f"{f', workers={bench_config.workers}' if bench_config.workers else ''}) ==\n"
+        f"workers={bench_config.workers}) ==\n"
     )
     print(header + text)
     save_report(f"fig5_budgets_{dataset.name}", text)

@@ -21,7 +21,7 @@ from repro.experiments.datasets import build_dataset
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
 
-# Sampler-backend seam for all benches: REPRO_BENCH_WORKERS > 1 routes
+# Sampler worker count for all benches: REPRO_BENCH_WORKERS >= 2 routes
 # every engine run through the shared-memory parallel backend, so the
 # figures measure exactly the code path a --workers user gets.  Default
 # (0) is the serial backend — bit-identical to pre-seam benches.
@@ -40,7 +40,6 @@ def bench_config() -> ExperimentConfig:
         scalability_window=200,
         grid_mode="paper" if FULL else "quick",
         seed=7,
-        sampler_backend="parallel" if BENCH_WORKERS > 1 else "serial",
         workers=BENCH_WORKERS,
     )
 

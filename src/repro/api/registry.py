@@ -23,9 +23,10 @@ new variants plug in without touching :class:`~repro.core.ti_engine.TIEngine`:
   is a list of ``(ad, node, marginal_revenue, marginal_payment)``
   tuples and the return value must be one of them (or ``None`` to stop).
 
-Lazy candidate caching is automatically disabled for callable candidate
-rules (the engine cannot prove the CELF invalidation argument for
-arbitrary rules), matching the windowed-CS treatment.
+Lazy candidate caching is not a spec field: the engine caches whenever
+that is exact, so it disables caching for callable candidate rules (it
+cannot prove the CELF invalidation argument for arbitrary rules),
+matching the windowed-CS treatment.
 
 Registered names are shared state for the whole process: the harness,
 the grid runner and the CLI all resolve algorithms here, so a custom

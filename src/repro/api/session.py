@@ -19,18 +19,19 @@ warm across solves:
   (continuing the store's persisted RNG stream).
 * **KPT estimators** (cached width samples and per-``s`` bounds) and
   **pagerank orders** are cached per probability vector the same way.
-* **One `SharedGraphPool`.**  The first parallel solve creates the
-  worker pool; every later solve reuses it.  The engine never tears a
-  session's pool down — :meth:`close` (or the context manager) does.
+* **One `SharedGraphPool`.**  With ``workers >= 2`` the first solve
+  creates the worker pool; every later solve reuses it.  The engine
+  never tears a session's pool down — :meth:`close` (or the context
+  manager) does.
 
 Reuse and invalidation rules (docs/ARCHITECTURE.md §9): a new
 probability vector simply creates a new store (the "family" grows);
 nothing a solve can change — budgets, CPEs, incentives, ``blocked``
 masks, algorithm, ``eps``/``theta_cap`` — ever invalidates a store.
-The sampler backend and worker count are pinned at session
-construction (stores hold live backends), so per-solve specs cannot
-flip them mid-session.  Sessions are not thread-safe (one solve at a
-time), matching the engine.
+The worker count (which picks the sampler backend) and the RR byte
+budget are pinned at session construction (stores hold live backends),
+so per-solve specs cannot flip them mid-session.  Sessions are not
+thread-safe (one solve at a time), matching the engine.
 
 Observability: :attr:`stats` counts solves, sampler batch calls and
 sets drawn, so tests (and benchmarks) can assert that a warm re-solve
@@ -52,12 +53,7 @@ from repro.core.instance import RMInstance
 from repro.core.ti_engine import EngineWarmState
 from repro.graph.digraph import DiGraph
 from repro.graph.updates import compile_updates, normalize_updates
-from repro.rrset.backend import (
-    SamplerBackend,
-    SharedGraphPool,
-    make_backend,
-    resolve_backend,
-)
+from repro.rrset.backend import SamplerBackend, SharedGraphPool, make_backend
 from repro.rrset.collection import SharedRRStore
 
 
@@ -75,11 +71,6 @@ class _CountingBackend(SamplerBackend):
         self._stats["sets_sampled"] += int(count)
         return self._inner.sample_batch_flat(count, rng, roots=roots)
 
-    @property
-    def degraded(self) -> bool:
-        """Whether the wrapped backend fell back to in-process sampling."""
-        return bool(getattr(self._inner, "degraded", False))
-
     def close(self) -> None:
         self._inner.close()
 
@@ -94,9 +85,9 @@ class AllocationSession:
         (identity is checked — sessions never silently mix graphs).
     spec:
         The session's base :class:`EngineSpec`.  Per-solve specs /
-        overrides are applied on top of it, except ``sampler_backend``
-        and ``workers``, which the session pins (live sampler backends
-        persist inside the stores).
+        overrides are applied on top of it, except ``workers`` and
+        ``rr_bytes_budget``, which the session pins (live sampler
+        backends and stores persist inside the warm state).
     """
 
     def __init__(self, graph: DiGraph, *, spec: EngineSpec | None = None) -> None:
@@ -149,7 +140,8 @@ class AllocationSession:
         *instance* must be built on the session's graph; its budgets,
         CPEs, incentives and probability vectors are free to differ
         between calls.  *spec* defaults to the session's base spec;
-        keyword *overrides* apply on top (backend/workers stay pinned).
+        keyword *overrides* apply on top (``workers`` and
+        ``rr_bytes_budget`` stay pinned).
         Identical queries re-solve bit-identically to their first run —
         without re-sampling, which :attr:`stats` makes observable.
         """
@@ -214,21 +206,14 @@ class AllocationSession:
         batch = normalize_updates(updates)
         plan = compile_updates(self.graph, batch)
         warm = self._warm
-        backend, workers = resolve_backend(
-            self.spec.sampler_backend, self.spec.workers
-        )
+        workers = self.spec.workers
 
         # The old pool's shared-memory CSR blocks describe the old
         # graph; nothing on the new graph can reuse them.
         if warm.pool is not None:
             warm.pool.close()
             warm.pool = None
-        if (
-            backend == "parallel"
-            and (workers or 0) > 1
-            and warm.stores
-            and not warm.pool_failed
-        ):
+        if (workers or 0) > 1 and warm.stores and not warm.pool_failed:
             try:
                 warm.pool = SharedGraphPool(
                     plan.new_graph,
@@ -253,13 +238,8 @@ class AllocationSession:
             invalidated += int(invalid.size)
             group.sampler.close()
             sampler = make_backend(
-                plan.new_graph,
-                new_probs,
-                backend,
-                workers=workers,
-                pool=warm.pool,
-                counters=warm.counters,
-                degraded=warm.pool_failed,
+                plan.new_graph, new_probs, workers=workers, pool=warm.pool,
+                counters=warm.counters, degraded=warm.pool_failed,
             )
             if warm.wrap_sampler is not None:
                 sampler = warm.wrap_sampler(sampler)
@@ -320,20 +300,12 @@ class AllocationSession:
         return self._warm
 
     def _pin_spec(self, spec: EngineSpec) -> EngineSpec:
-        # Live backends (sampler_backend/workers) and live stores
-        # (rr_bytes_budget) persist inside the warm state, so a per-solve
-        # spec cannot flip them mid-session.
-        if (
-            spec.sampler_backend != self.spec.sampler_backend
-            or spec.workers != self.spec.workers
-            or spec.rr_bytes_budget != self.spec.rr_bytes_budget
-        ):
-            spec = spec.override(
-                sampler_backend=self.spec.sampler_backend,
-                workers=self.spec.workers,
-                rr_bytes_budget=self.spec.rr_bytes_budget,
-            )
-        return spec
+        # Live backends (workers) and live stores (rr_bytes_budget)
+        # persist inside the warm state, so a per-solve spec cannot flip
+        # them mid-session.
+        return spec.override(
+            workers=self.spec.workers, rr_bytes_budget=self.spec.rr_bytes_budget
+        )
 
     def _record_solve(self, result: AllocationResult) -> None:
         self._stats["solves"] += 1

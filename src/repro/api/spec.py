@@ -1,9 +1,8 @@
 """`EngineSpec`: one validated bundle of every TI-engine knob.
 
-The twelve engine parameters (``eps``, ``ell``, ``window``,
+The ten engine parameters (``eps``, ``ell``, ``window``,
 ``theta_cap``, ``opt_lower``, ``kpt_max_samples``, ``share_samples``,
-``lazy_candidates``, ``sampler_backend``, ``workers``,
-``rr_bytes_budget``, ``seed``) live here and nowhere else.
+``workers``, ``rr_bytes_budget``, ``seed``) live here and nowhere else.
 :class:`~repro.experiments.config.ExperimentConfig` (and through it
 grid specs, the CLI and the serve daemon) compiles into an
 :class:`EngineSpec`, and :class:`~repro.core.ti_engine.TIEngine` reads
@@ -21,31 +20,29 @@ every knob from the one it is given:
   CI checks this invariant on every committed ``specs/*.json``.
 
 The spec holds no algorithm-defining rule (candidate rule and
-selector come from the :mod:`~repro.api.registry`) and no per-call
-data such as ``blocked`` masks, which describe the query, not the
-engine configuration.
+selector come from the :mod:`~repro.api.registry`), no per-call data
+such as ``blocked`` masks, which describe the query, not the engine
+configuration, and no choice between implementations of one
+computation: ``workers`` alone picks the RR sampler, and the engine
+caches candidates whenever that is exact (docs/ARCHITECTURE.md §3,
+§6).
 
-Three fields are special inside an
-:class:`~repro.api.session.AllocationSession` (and therefore inside
-the grid runner's ``warm_per_dataset`` execution mode, which drives
-every cell of a dataset through one session): ``sampler_backend``,
-``workers`` and ``rr_bytes_budget`` are pinned by the
-session's base spec — live sampler backends and RR stores persist
-inside the warm state, so per-solve specs cannot flip them
-mid-session.
+Inside an :class:`~repro.api.session.AllocationSession` (and so in
+the grid's ``warm_per_dataset`` mode) the session's base spec pins
+``workers`` and ``rr_bytes_budget``: live sampler backends and RR
+stores persist inside the warm state.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro._checks import check_int, check_number
 from repro.errors import SpecError
-from repro.rrset.backend import BACKENDS
 from repro.rrset.tim import DEFAULT_THETA_CAP
 
 #: Fields whose values already serialize to JSON scalars unchanged.
@@ -56,8 +53,6 @@ _SCALAR_FIELDS = (
     "theta_cap",
     "kpt_max_samples",
     "share_samples",
-    "lazy_candidates",
-    "sampler_backend",
     "workers",
     "rr_bytes_budget",
     "seed",
@@ -82,24 +77,19 @@ class EngineSpec:
     opt_lower: object = "kpt"
     kpt_max_samples: int = 5_000
     share_samples: bool = False
-    lazy_candidates: bool = True
-    sampler_backend: str = "serial"
     workers: int | None = None
     rr_bytes_budget: int | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.eps > 0:
-            raise SpecError(f"eps must be positive, got {self.eps}")
-        if not self.ell > 0:
-            raise SpecError(f"ell must be positive, got {self.ell}")
+        for name in ("eps", "ell"):
+            check_number(getattr(self, name), name, error=SpecError, positive=True)
         self._set_int("window", minimum=1, optional=True)
         self._set_int("theta_cap", minimum=1, optional=True)
         self._set_int("kpt_max_samples", minimum=1)
-        if self.sampler_backend not in BACKENDS:
+        if not isinstance(self.share_samples, bool):
             raise SpecError(
-                f"unknown sampler_backend {self.sampler_backend!r}; "
-                f"options: {BACKENDS}"
+                f"share_samples must be true or false, got {self.share_samples!r}"
             )
         self._set_int("workers", minimum=0, optional=True)
         self._set_int("rr_bytes_budget", minimum=1, optional=True)
@@ -113,20 +103,8 @@ class EngineSpec:
         Catches hand-edited JSON like ``"window": 1.5`` at construction
         (the class contract) instead of as a numpy TypeError mid-solve.
         """
-        value = getattr(self, name)
-        if value is None:
-            if optional:
-                return
-            raise SpecError(f"{name} must be an integer, got None")
-        if isinstance(value, bool) or not isinstance(
-            value, (int, np.integer, float)
-        ):
-            raise SpecError(f"{name} must be an integer, got {value!r}")
-        if isinstance(value, float) and not value.is_integer():
-            raise SpecError(f"{name} must be an integer, got {value!r}")
-        value = int(value)
-        if value < minimum:
-            raise SpecError(f"{name} must be >= {minimum}, got {value}")
+        value = check_int(getattr(self, name), name, error=SpecError,
+                          minimum=minimum, optional=optional)
         object.__setattr__(self, name, value)
 
     @staticmethod
@@ -139,22 +117,14 @@ class EngineSpec:
                 raise SpecError(f"unknown opt_lower spec {value!r}; options: 'kpt'")
             return value
         if isinstance(value, (list, tuple, np.ndarray)):
-            bounds = tuple(float(v) for v in value)
+            bounds = tuple(
+                check_number(v, "opt_lower bound", error=SpecError, minimum=0.0)
+                for v in value
+            )
             if not bounds:
                 raise SpecError("opt_lower sequence must be non-empty")
-            if any(b < 0 or not math.isfinite(b) for b in bounds):
-                raise SpecError("opt_lower bounds must all be finite and >= 0")
             return bounds
-        try:
-            scalar = float(value)
-        except (TypeError, ValueError):
-            raise SpecError(
-                f"opt_lower must be 'kpt', a number, or a sequence of "
-                f"per-ad bounds; got {value!r}"
-            ) from None
-        if scalar < 0 or not math.isfinite(scalar):
-            raise SpecError(f"opt_lower must be finite and >= 0, got {scalar}")
-        return scalar
+        return check_number(value, "opt_lower", error=SpecError, minimum=0.0)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -71,10 +71,9 @@ def _print_run_header(args, dataset) -> None:
     sizing = f"n={effective_n}"
     if args.n is not None and args.n != effective_n:
         sizing += f" (requested --n {args.n})"
-    backend = "parallel" if args.workers > 1 else "serial"
     print(
         f"# dataset={dataset.name} {sizing} m={dataset.graph.m} "
-        f"h={dataset.h} seed={args.seed} backend={backend}"
+        f"h={dataset.h} seed={args.seed} workers={args.workers}"
     )
 
 
@@ -87,11 +86,8 @@ def _engine_overrides(args) -> dict:
     overrides: dict = {}
     if args.workers:
         overrides["workers"] = args.workers
-        overrides["sampler_backend"] = "parallel" if args.workers > 1 else "serial"
     if args.share_samples:
         overrides["share_samples"] = True
-    if args.eager:
-        overrides["lazy_candidates"] = False
     if args.rr_bytes_budget:
         overrides["rr_bytes_budget"] = args.rr_bytes_budget
     return overrides
@@ -486,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="RR sampler worker processes; > 1 selects the shared-memory "
+        help="RR sampler worker processes; >= 2 selects the shared-memory "
         "parallel backend, 0/1 the bit-reproducible serial one",
     )
     engine.add_argument(
@@ -494,11 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="share_samples",
         help="store probability-identical ads' RR sets once (shared stores)",
-    )
-    engine.add_argument(
-        "--eager",
-        action="store_true",
-        help="disable CELF-style lazy candidate caching (full rescans)",
     )
     engine.add_argument(
         "--rr-bytes-budget",

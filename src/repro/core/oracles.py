@@ -23,7 +23,7 @@ from repro._rng import as_generator
 from repro.diffusion.montecarlo import estimate_spread
 from repro.diffusion.worlds import exact_spread
 from repro.errors import EstimationError
-from repro.rrset.backend import SharedGraphPool, make_backend, resolve_backend
+from repro.rrset.backend import SharedGraphPool, make_backend
 from repro.rrset.collection import build_inverted_index
 from repro.core.instance import RMInstance
 
@@ -126,13 +126,12 @@ class RRStaticOracle(SpreadOracle):
         instance: RMInstance,
         n_samples: int = 10_000,
         seed=None,
-        backend: str = "serial",
         workers: int | None = None,
     ) -> None:
-        """*backend* / *workers* select the sampling backend (see
+        """*workers* selects the sampling backend (see
         :func:`repro.rrset.backend.make_backend`); the default is
-        bit-identical to the pre-seam oracle.  With the parallel backend
-        all ads draw through one worker pool, torn down before the
+        bit-identical to the pre-seam oracle.  With ``workers >= 2`` all
+        ads draw through one worker pool, torn down before the
         constructor returns."""
         super().__init__(instance)
         if n_samples < 1:
@@ -143,20 +142,11 @@ class RRStaticOracle(SpreadOracle):
         # sampler's flat batch output.
         self._memberships: list[tuple[np.ndarray, np.ndarray]] = []
         n = instance.graph.n
-        backend, workers = resolve_backend(backend, workers)
-        pool = (
-            SharedGraphPool(instance.graph, workers)
-            if backend == "parallel" and workers > 1
-            else None
-        )
+        pool = SharedGraphPool(instance.graph, workers) if (workers or 0) > 1 else None
         try:
             for i in range(instance.h):
                 sampler = make_backend(
-                    instance.graph,
-                    instance.ad_probs[i],
-                    backend,
-                    workers=workers,
-                    pool=pool,
+                    instance.graph, instance.ad_probs[i], workers=workers, pool=pool
                 )
                 members, indptr = sampler.sample_batch_flat(n_samples, rng)
                 sids = np.repeat(

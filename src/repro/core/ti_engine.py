@@ -46,13 +46,13 @@ Documented deviations from the pseudocode (docs/ARCHITECTURE.md §6):
 Performance notes (flat data plane + lazy candidates):
 
 * RR sets are drawn through a pluggable
-  :class:`~repro.rrset.backend.SamplerBackend` (``sampler_backend=
-  "serial" | "parallel"``, ``workers=N``; see docs/ARCHITECTURE.md).
-  ``serial`` delegates to :meth:`RRSampler.sample_batch_flat` and is
-  bit-identical to the pre-seam engine; ``parallel`` fans each batch
-  over a shared-memory worker pool owned by the run (one pool serves
-  all ads) and is deterministic for a fixed ``(seed, workers)`` pair
-  but draws a different — equally valid — sample than serial.  Sets are
+  :class:`~repro.rrset.backend.SamplerBackend` that the spec's
+  ``workers`` alone selects (docs/ARCHITECTURE.md §3).  ``None``, 0 or
+  1 is serial: it delegates to :meth:`RRSampler.sample_batch_flat` and
+  is bit-identical to the pre-seam engine.  ``k >= 2`` fans each batch
+  over a ``k``-worker shared-memory pool owned by the run (one pool
+  serves all ads); it is deterministic for a fixed ``(seed, workers)``
+  pair but draws a different — equally valid — sample than serial.  Sets are
   stored in flat CSR collections; all coverage maintenance is
   vectorized.
   **RNG stream:** each batch draws all its roots in one vectorized
@@ -80,12 +80,12 @@ Performance notes (flat data plane + lazy candidates):
   recomputed: for every untouched ad the residual counts are unchanged
   and its cached argmax is still the argmax over the shrunken allowed
   set, so the cached candidate is *exactly* what a fresh rescan would
-  return — allocations are bit-identical to eager mode
-  (``lazy_candidates=False``), which the parity tests assert.  The one
-  exception is the windowed CS rule: removing ``v`` from the allowed
-  set can promote a new node into the top-``w`` coverage window, so
-  caching is disabled whenever ``window`` is set.  This turns the
-  per-round cost from O(h·n) into O(#invalidated·n).
+  return — allocations are bit-identical to the eager rescan, which
+  the parity tests select by setting ``lazy_candidates = False`` on a
+  constructed engine.  The one exception is the windowed CS rule:
+  removing ``v`` from the allowed set can promote a new node into the
+  top-``w`` coverage window, so caching is disabled whenever ``window``
+  is set.  This turns the per-round cost from O(h·n) into O(#invalidated·n).
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ from repro.rrset.backend import (
     SharedGraphPool,
     make_backend,
     new_fault_counters,
-    resolve_backend,
 )
 from repro.rrset.collection import RRCollection, SharedRRCollection, SharedRRStore
 from repro.rrset.tim import KPTEstimator, sample_size
@@ -291,19 +290,11 @@ class TIEngine:
         self.share_samples = bool(spec.share_samples) or warm is not None
         # Laziness is exact except under the windowed CS rule (see module
         # docstring) and is unproven for arbitrary callable rules, so both
-        # disable it; lazy_candidates=False forces a full rescan per round
-        # and exists for verification/benchmark comparisons.
-        self.lazy_candidates = (
-            bool(spec.lazy_candidates)
-            and spec.window is None
-            and isinstance(candidate_rule, str)
-        )
-        # Sampling backend seam: "serial" reproduces the bare RRSampler
-        # streams bit for bit; "parallel" (or workers > 1) fans batches
-        # over one SharedGraphPool shared by every ad of this run.
-        self.sampler_backend, self.workers = resolve_backend(
-            spec.sampler_backend, spec.workers
-        )
+        # disable it; the parity tests set it False to run the eager rescan.
+        self.lazy_candidates = spec.window is None and isinstance(candidate_rule, str)
+        # workers >= 2 fans batches over one SharedGraphPool shared by
+        # every ad of this run; fewer is the serial sampler.
+        self.workers = spec.workers if (spec.workers or 0) > 1 else None
         self._pool: SharedGraphPool | None = None
         self._pool_failed = False
         # Recovery/degradation provenance: shared with the session's
@@ -393,24 +384,13 @@ class TIEngine:
         ``wrap_sampler`` hook.
         """
         inst = self.instance
-        if self.sampler_backend == "parallel" and self.workers > 1:
+        pool, degraded = None, False
+        if self.workers is not None:
             pool, degraded = self._acquire_pool()
-            sampler = make_backend(
-                inst.graph,
-                inst.ad_probs[ad],
-                "parallel",
-                workers=self.workers,
-                pool=pool,
-                counters=self._fault_counters,
-                degraded=degraded,
-            )
-        else:
-            sampler = make_backend(
-                inst.graph,
-                inst.ad_probs[ad],
-                self.sampler_backend,
-                workers=self.workers,
-            )
+        sampler = make_backend(
+            inst.graph, inst.ad_probs[ad], workers=self.workers, pool=pool,
+            counters=self._fault_counters, degraded=degraded,
+        )
         if self._warm is not None and self._warm.wrap_sampler is not None:
             sampler = self._warm.wrap_sampler(sampler)
         return sampler
@@ -780,7 +760,6 @@ class TIEngine:
                 "share_samples": self.share_samples,
                 "lazy_candidates": self.lazy_candidates,
                 "selector": getattr(self.selector, "__name__", self.selector),
-                "sampler_backend": self.sampler_backend,
                 "workers": self.workers,
                 # Measured storage accounting (docs/ARCHITECTURE.md §2):
                 # narrowed-dtype member bytes, spill state and the

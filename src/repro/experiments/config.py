@@ -38,24 +38,19 @@ class ExperimentConfig:
     grid_mode: str = "quick"
     # Base RNG seed for everything derived from this config.
     seed: int = 7
-    # RR sampling backend seam (docs/ARCHITECTURE.md): "serial" is
-    # bit-identical to the bare sampler; "parallel" fans batches over a
-    # shared-memory worker pool.  workers = 0 means "backend default"
-    # (serial stays in-process; parallel uses the machine's CPU count);
-    # any workers > 1 upgrades "serial" to "parallel".
-    sampler_backend: str = "serial"
+    # RR sampler worker processes (docs/ARCHITECTURE.md §3): 0 or 1 is
+    # the serial sampler, bit-identical to the bare RRSampler; k >= 2
+    # fans batches over a k-worker shared-memory pool.
     workers: int = 0
     # RAM budget (bytes) per shared RR store; 0 = unbounded.  Past it
     # the store's member array spills to a temp-file memmap
     # (docs/ARCHITECTURE.md §2), keeping real-crawl grids inside a
     # declared memory envelope.
     rr_bytes_budget: int = 0
-    # Engine storage / laziness knobs (docs/ARCHITECTURE.md §6):
-    # share_samples stores probability-identical ads' RR sets once;
-    # lazy_candidates=False forces eager per-round candidate rescans.
-    # Both compile into the EngineSpec, so grid specs can pin them.
+    # Engine storage knob (docs/ARCHITECTURE.md §6): share_samples
+    # stores probability-identical ads' RR sets once.  It compiles into
+    # the EngineSpec, so grid specs can pin it.
     share_samples: bool = False
-    lazy_candidates: bool = True
 
     def quick(self) -> "ExperimentConfig":
         """A cheaper copy for smoke tests."""
@@ -80,8 +75,6 @@ class ExperimentConfig:
             opt_lower=opt_lower,
             kpt_max_samples=self.kpt_max_samples,
             share_samples=self.share_samples,
-            lazy_candidates=self.lazy_candidates,
-            sampler_backend=self.sampler_backend,
             workers=self.workers or None,
             rr_bytes_budget=self.rr_bytes_budget or None,
             seed=self.seed if seed is None else int(seed),

@@ -17,9 +17,10 @@ windows — and :func:`run_grid` runs the full cross product:
   spec digest and the estimator config, so resuming against an edited
   spec or different config fails loudly instead of mixing results.
 
-* **Backend threading.**  The spec's ``config`` block (or CLI
-  ``--workers``) selects the serial / shared-memory-parallel RR sampling
-  backend for every cell, exactly as in single runs.
+* **Backend threading.**  The ``workers`` entry of the spec's
+  ``config`` block (or CLI ``--workers``) selects the serial /
+  shared-memory-parallel RR sampling backend for every cell, exactly as
+  in single runs.
 
 * **Execution modes (docs/ARCHITECTURE.md §10).**  The optional
   ``execution`` block selects how cells are driven:
@@ -79,6 +80,7 @@ from dataclasses import MISSING, asdict, dataclass, field
 import numpy as np
 
 from repro import faults as _faults
+from repro._checks import check_int, check_number
 from repro.errors import CellTimeoutError, FaultInjectedError, SpecError
 from repro.api.registry import algorithm_names, get_algorithm
 from repro.api.session import AllocationSession
@@ -171,6 +173,11 @@ class GridCell:
         return int(sequence.generate_state(1, np.uint64)[0])
 
 
+#: The list-valued axes of a :class:`GridSpec`.
+_AXES = ("datasets", "algorithms", "h", "budgets", "cpes",
+         "incentive_models", "alphas", "windows")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A declarative scenario matrix (see the module docstring).
@@ -221,30 +228,42 @@ class GridSpec:
         normalized = {"mode": mode}
         timeout = self.execution.get("cell_timeout_s")
         if timeout is not None:
-            if not isinstance(timeout, (int, float)) or timeout <= 0:
-                raise SpecError(
-                    f"cell_timeout_s must be a positive number, got {timeout!r}"
-                )
-            normalized["cell_timeout_s"] = float(timeout)
+            normalized["cell_timeout_s"] = check_number(
+                timeout, "cell_timeout_s", error=SpecError, positive=True
+            )
         retries = self.execution.get("max_retries")
         if retries is not None:
-            if not isinstance(retries, int) or retries < 0:
-                raise SpecError(
-                    f"max_retries must be a non-negative integer, got {retries!r}"
-                )
-            normalized["max_retries"] = retries
+            normalized["max_retries"] = check_int(
+                retries, "max_retries", error=SpecError, minimum=0
+            )
         backoff = self.execution.get("retry_backoff_s")
         if backoff is not None:
-            if not isinstance(backoff, (int, float)) or backoff < 0:
-                raise SpecError(
-                    f"retry_backoff_s must be a non-negative number, got {backoff!r}"
-                )
-            normalized["retry_backoff_s"] = float(backoff)
+            normalized["retry_backoff_s"] = check_number(
+                backoff, "retry_backoff_s", error=SpecError, minimum=0.0
+            )
         object.__setattr__(self, "execution", normalized)
+        if not isinstance(self.name, str) or not self.name:
+            raise SpecError(f"name must be a non-empty string, got {self.name!r}")
+        for axis in _AXES:
+            if not isinstance(getattr(self, axis), (list, tuple)):
+                raise SpecError(f"{axis} must be a list, got {getattr(self, axis)!r}")
         if not self.datasets:
             raise SpecError("spec needs at least one dataset entry")
         for entry in self.datasets:
+            if not isinstance(entry, dict):
+                raise SpecError(f"dataset entry must be an object, got {entry!r}")
             dataset_label(entry)  # validates the entry shape
+        # Axis values are validated, never rewritten: they enter every
+        # cell id (and so every cell seed) exactly as the spec spells them.
+        for axis in ("h", "windows"):
+            for value in getattr(self, axis):
+                check_int(value, axis, error=SpecError, minimum=1, optional=True)
+        # Dataset.build_instance refuses a zero α, budget or CPE.
+        for axis in ("alphas", "budgets", "cpes"):
+            for value in getattr(self, axis):
+                check_number(value, axis, error=SpecError, positive=True,
+                             optional=axis != "alphas")
+        check_int(self.seed, "seed", error=SpecError, minimum=0)
         for algorithm in self.algorithms:
             # Validated against the live registry, so user-registered
             # algorithms are first-class grid citizens.
@@ -254,14 +273,19 @@ class GridSpec:
                     f"options: {list(algorithm_names())}"
                 )
         for model in self.incentive_models:
-            if model not in INCENTIVE_MODELS:
+            if not isinstance(model, str) or model not in INCENTIVE_MODELS:
                 raise SpecError(
                     f"unknown incentive model {model!r}; "
                     f"options: {sorted(INCENTIVE_MODELS)}"
                 )
+        if not isinstance(self.config, dict):
+            raise SpecError(f"config must be an object, got {self.config!r}")
         unknown = set(self.config) - {f.name for f in _config_fields()}
         if unknown:
             raise SpecError(f"unknown config keys: {sorted(unknown)}")
+        # Run EngineSpec's own checks now, not one quarantined cell at a
+        # time; the per-cell opt_lower is resolved later, so "kpt" stands in.
+        ExperimentConfig(**self.config).engine_spec(opt_lower="kpt")
         if not isinstance(self.mutations, dict):
             raise SpecError(
                 'mutations must be an object like {"batches": 2, '
@@ -273,22 +297,23 @@ class GridSpec:
             }
             if unknown:
                 raise SpecError(f"unknown mutations keys: {sorted(unknown)}")
-            batches = self.mutations.get("batches", 1)
-            edges = self.mutations.get("edges_per_batch", 1)
-            for label, value in (("batches", batches), ("edges_per_batch", edges)):
-                if not isinstance(value, int) or value < 1:
-                    raise SpecError(
-                        f"mutations.{label} must be a positive integer, "
-                        f"got {value!r}"
-                    )
-            ops = tuple(self.mutations.get("ops", UPDATE_OPS))
-            if not ops or any(op not in UPDATE_OPS for op in ops):
+            batches, edges = (
+                check_int(self.mutations.get(key, 1), f"mutations.{key}",
+                          error=SpecError, minimum=1)
+                for key in ("batches", "edges_per_batch")
+            )
+            ops = self.mutations.get("ops", UPDATE_OPS)
+            if not isinstance(ops, (list, tuple)) or not ops or any(
+                op not in UPDATE_OPS for op in ops
+            ):
                 raise SpecError(
                     f"mutations.ops must be a non-empty subset of "
-                    f"{list(UPDATE_OPS)}, got {list(ops)}"
+                    f"{list(UPDATE_OPS)}, got {ops!r}"
                 )
-            prob = self.mutations.get("prob", 0.1)
-            if not isinstance(prob, (int, float)) or not 0.0 <= prob <= 1.0:
+            prob = check_number(
+                self.mutations.get("prob", 0.1), "mutations.prob", error=SpecError
+            )
+            if not 0.0 <= prob <= 1.0:
                 raise SpecError(
                     f"mutations.prob must be a number in [0, 1], got {prob!r}"
                 )
@@ -299,7 +324,7 @@ class GridSpec:
                     "batches": batches,
                     "edges_per_batch": edges,
                     "ops": list(ops),
-                    "prob": float(prob),
+                    "prob": prob,
                 },
             )
 
@@ -309,6 +334,8 @@ class GridSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "GridSpec":
         """Build a spec from a plain dict (e.g. parsed JSON)."""
+        if not isinstance(data, dict):
+            raise SpecError(f"spec must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in _spec_fields()}
         unknown = set(data) - known
         if unknown:
@@ -318,9 +345,8 @@ class GridSpec:
         if "name" not in data:
             raise SpecError("spec needs a 'name'")
         kwargs = dict(data)
-        for key in ("datasets", "algorithms", "h", "budgets", "cpes",
-                    "incentive_models", "alphas", "windows"):
-            if key in kwargs:
+        for key in _AXES:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -544,7 +570,7 @@ class WarmSessionGroups:
         session = self._sessions.get(key)
         if session is None:
             dataset = _cell_dataset(cell.dataset, self._memo)
-            # The config pins backend/workers for the whole group (an
+            # The config pins workers for the whole group (an
             # AllocationSession never lets per-solve specs flip them).
             session = AllocationSession(
                 dataset.graph, spec=self._config.engine_spec(opt_lower="kpt")

@@ -2,13 +2,11 @@
 
 from repro.rrset.sampler import RRSampler, resolve_kernel, sample_batch_flat_kernel
 from repro.rrset.backend import (
-    BACKENDS,
     ParallelBackend,
     SamplerBackend,
     SerialBackend,
     SharedGraphPool,
     make_backend,
-    resolve_backend,
 )
 from repro.rrset.collection import (
     RRCollection,
@@ -28,13 +26,11 @@ __all__ = [
     "RRSampler",
     "sample_batch_flat_kernel",
     "resolve_kernel",
-    "BACKENDS",
     "SamplerBackend",
     "SerialBackend",
     "ParallelBackend",
     "SharedGraphPool",
     "make_backend",
-    "resolve_backend",
     "RRCollection",
     "SharedRRCollection",
     "SharedRRStore",

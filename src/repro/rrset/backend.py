@@ -4,13 +4,14 @@ Every consumer of RR sets — :class:`~repro.core.ti_engine.TIEngine`,
 TIM's KPT estimator, the static RR oracle, the singleton-spread pricer,
 the benchmark harness — draws batches through one seam, a
 :class:`SamplerBackend`, instead of touching :class:`RRSampler`
-directly.  Two implementations exist:
+directly.  The worker count alone picks one of two implementations
+(:func:`make_backend`):
 
-* :class:`SerialBackend` — a thin delegate around :class:`RRSampler`.
-  Bit-identical to calling the sampler yourself: same RNG stream, same
-  arrays.
-* :class:`ParallelBackend` — fans :func:`sample_batch_flat_kernel` out
-  over a persistent pool of worker processes.  The graph's reverse CSR
+* :class:`SerialBackend` (``None``, 0 or 1 worker) — a thin delegate
+  around :class:`RRSampler`.
+* :class:`ParallelBackend` (``k >= 2`` workers; fewer is refused) —
+  fans :func:`sample_batch_flat_kernel` out over a persistent pool of
+  ``k`` worker processes.  The graph's reverse CSR
   (``in_indptr``, ``in_tails``) and each registered probability vector
   (already permuted to in-CSR slot order) live in
   :mod:`multiprocessing.shared_memory` blocks created once per pool;
@@ -20,13 +21,12 @@ directly.  Two implementations exist:
   :class:`numpy.random.SeedSequence`-spawned generator, and the shards
   are merged back into a single CSR pair in shard order.
 
-RNG-stream contract (docs/ARCHITECTURE.md §RNG):
+RNG-stream contract (docs/ARCHITECTURE.md §2–§3):
 
-* ``workers == 1`` executes in-process with the caller's generator —
-  **bit-identical** to :class:`SerialBackend` (and hence to
-  :meth:`RRSampler.sample_batch_flat`).
-* ``workers >= 2`` consumes exactly **one** ``rng.integers`` draw from
-  the caller's generator per batch, to derive a root
+* :class:`SerialBackend` draws with the caller's generator —
+  **bit-identical** to :meth:`RRSampler.sample_batch_flat`.
+* :class:`ParallelBackend` consumes exactly **one** ``rng.integers``
+  draw from the caller's generator per batch, to derive a root
   :class:`~numpy.random.SeedSequence`; shard ``k`` samples with
   ``default_rng(root.spawn(shards)[k])``.  The output is a valid
   i.i.d. RR sample from the same distribution, deterministic for a
@@ -100,8 +100,6 @@ from repro.rrset.sampler import (
     validate_edge_probs,
 )
 
-BACKENDS = ("serial", "parallel")
-
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 #: Counter keys every pool/backend fault-counters dict carries.
@@ -111,32 +109,6 @@ FAULT_COUNTER_KEYS = ("worker_respawns", "shards_recovered", "pool_degraded")
 def new_fault_counters() -> dict:
     """A zeroed recovery/degradation counter dict (see FAULT_COUNTER_KEYS)."""
     return {key: 0 for key in FAULT_COUNTER_KEYS}
-
-
-def default_workers() -> int:
-    """Worker count used when a parallel backend is requested without one."""
-    return max(os.cpu_count() or 1, 1)
-
-
-def resolve_backend(backend: str, workers: int | None) -> tuple[str, int | None]:
-    """Normalize a ``(backend, workers)`` spec to its effective form.
-
-    The one place the selection rule lives (engine, oracle, factory and
-    CLI all call it): ``workers`` > 1 upgrades ``"serial"`` to
-    ``"parallel"``; a parallel spec with ``workers`` of ``None``/0
-    resolves to :func:`default_workers`.  Returns the effective
-    ``(backend, workers)`` — ``workers`` is a positive ``int`` for
-    parallel, ``None`` for serial.
-    """
-    if backend not in BACKENDS:
-        raise EstimationError(f"unknown backend {backend!r}; options: {BACKENDS}")
-    if workers is not None and workers < 0:
-        raise EstimationError(f"workers must be non-negative, got {workers}")
-    if backend == "serial" and (workers or 0) > 1:
-        backend = "parallel"
-    if backend == "parallel":
-        return backend, int(workers) if workers else default_workers()
-    return "serial", None
 
 
 def shard_counts(count: int, shards: int) -> list[int]:
@@ -793,9 +765,8 @@ class ParallelBackend(SamplerBackend):
     graph, probs:
         As for :class:`RRSampler` (*probs* in canonical edge order).
     workers:
-        Worker process count; defaults to :func:`default_workers`.
-        ``workers == 1`` short-circuits to in-process execution with the
-        caller's generator — bit-identical to :class:`SerialBackend`.
+        Worker process count, at least 2 (one worker is
+        :class:`SerialBackend`'s job); ignored when *pool* is given.
     pool:
         An existing pool over the same graph to share (e.g. one pool for
         all ads of an engine run).  When omitted the backend creates and
@@ -833,46 +804,44 @@ class ParallelBackend(SamplerBackend):
     ) -> None:
         if graph.n == 0:
             raise EstimationError("cannot sample RR sets from an empty graph")
+        if pool is not None:
+            if pool.graph is not graph:
+                raise EstimationError("pool was built over a different graph")
+            workers = pool.workers
+        if workers is None or workers < 2:
+            raise EstimationError(
+                f"a parallel backend needs workers >= 2, got {workers}"
+            )
         self.graph = graph
         self.probs = validate_edge_probs(graph, probs)
+        self.workers = int(workers)
         self._probs_in: np.ndarray | None = None  # lazy in-CSR permutation
         self._degraded = bool(degraded)
         self._closed = False
         self._prob_name = None
-        self._serial = None
+        if counters is None:
+            counters = pool.counters if pool is not None else new_fault_counters()
+        self.fault_counters = counters
+        for key in FAULT_COUNTER_KEYS:
+            self.fault_counters.setdefault(key, 0)
+        self._pool = pool
+        self._owns_pool = False
         if pool is not None:
-            if pool.graph is not graph:
-                raise EstimationError("pool was built over a different graph")
-            self.workers = pool.workers
-            self._pool = pool
-            self._owns_pool = False
-            self.fault_counters = counters if counters is not None else pool.counters
-            for key in FAULT_COUNTER_KEYS:
-                self.fault_counters.setdefault(key, 0)
             if pool.failed:
                 self._note_degraded()
-        else:
-            _, self.workers = resolve_backend("parallel", workers)
-            self.fault_counters = (
-                counters if counters is not None else new_fault_counters()
-            )
-            for key in FAULT_COUNTER_KEYS:
-                self.fault_counters.setdefault(key, 0)
-            self._pool = None
-            self._owns_pool = False
-            if self.workers > 1 and not self._degraded:
-                try:
-                    self._pool = SharedGraphPool(
-                        graph,
-                        self.workers,
-                        counters=self.fault_counters,
-                        faults=faults,
-                    )
-                    self._owns_pool = True
-                except WorkerCrashError:
-                    # Pool infrastructure (worker spawn / shared memory)
-                    # failed: degrade to in-process shard execution.
-                    self._note_degraded()
+        elif not self._degraded:
+            try:
+                self._pool = SharedGraphPool(
+                    graph,
+                    self.workers,
+                    counters=self.fault_counters,
+                    faults=faults,
+                )
+                self._owns_pool = True
+            except WorkerCrashError:
+                # Pool infrastructure (worker spawn / shared memory)
+                # failed: degrade to in-process shard execution.
+                self._note_degraded()
         if self._pool is not None and not self._degraded:
             try:
                 # The pool's shared block (registered here) is the only
@@ -880,12 +849,6 @@ class ParallelBackend(SamplerBackend):
                 self._prob_name = self._pool.register_probs(self.probs)
             except WorkerCrashError:
                 self._note_degraded()
-        elif self.workers == 1 and not self._degraded:
-            # workers == 1: all sampling happens in-process through this
-            # delegate, bit-identically to SerialBackend.  (A *degraded*
-            # backend instead keeps the shard-plan streams, staying
-            # bit-identical to the pooled output it replaces.)
-            self._serial = RRSampler(graph, self.probs)
 
     @property
     def degraded(self) -> bool:
@@ -956,10 +919,6 @@ class ParallelBackend(SamplerBackend):
         if count == 0:
             # Stream-neutral on every backend: no RNG draw is consumed.
             return _EMPTY_I64.copy(), np.zeros(1, dtype=np.int64)
-        if self._serial is not None:
-            # workers == 1 without a pool: in-process, caller's stream,
-            # bit-identical to SerialBackend.
-            return self._serial.sample_batch_flat(count, rng, roots=roots)
         counts = shard_counts(count, self.workers)
         root = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
         seqs = root.spawn(len(counts))
@@ -993,9 +952,8 @@ class ParallelBackend(SamplerBackend):
         An owned pool is shut down here; a shared pool stays up (it is
         the creator's to close).  Closing is idempotent — including
         after degradation, after the pool closed itself, and on double
-        close — and applies to ``workers == 1`` backends too, so the
-        lifecycle is uniform: a closed parallel backend never silently
-        degrades to a different (serial) RNG stream.
+        close — so a closed parallel backend never silently degrades to
+        a different (serial) RNG stream.
         """
         if self._owns_pool and self._pool is not None:
             try:
@@ -1010,26 +968,22 @@ class ParallelBackend(SamplerBackend):
 def make_backend(
     graph: DiGraph,
     probs,
-    backend: str = "serial",
     *,
     workers: int | None = None,
     pool: SharedGraphPool | None = None,
     counters: dict | None = None,
     degraded: bool = False,
-    faults=None,
 ) -> SamplerBackend:
-    """Build a :class:`SamplerBackend` from a spec string.
+    """The backend *workers* selects: the one backend-choice rule.
 
-    ``backend`` is ``"serial"`` or ``"parallel"``; *workers* / *pool*
-    apply to the parallel backend only.  The spec is normalized by
-    :func:`resolve_backend` — ``workers`` > 1 upgrades ``"serial"`` to
-    parallel (this is what lets a single ``--workers`` CLI flag select
-    the backend), and a parallel spec without a worker count uses
-    :func:`default_workers`.  Passing an existing *pool* implies
-    parallel regardless of the spec.
+    ``None``, 0 or 1 worker is a :class:`SerialBackend`; ``k >= 2`` is a
+    :class:`ParallelBackend` over *pool* (when given) or a ``k``-worker
+    pool of its own.  Passing a *pool* implies parallel.  *counters* and
+    *degraded* apply to the parallel backend only.
     """
-    backend, workers = resolve_backend(backend, workers)
-    if backend == "serial" and pool is None:
+    if workers is not None and workers < 0:
+        raise EstimationError(f"workers must be non-negative, got {workers}")
+    if pool is None and (workers or 0) < 2:
         return SerialBackend(graph, probs)
     return ParallelBackend(
         graph,
@@ -1038,5 +992,4 @@ def make_backend(
         pool=pool,
         counters=counters,
         degraded=degraded,
-        faults=faults,
     )

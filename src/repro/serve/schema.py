@@ -6,15 +6,18 @@ entry* (which fully determines the graph **and** the probability family
 plus the per-query axes a warm
 :class:`~repro.api.session.AllocationSession` re-solves cheaply:
 algorithm, ``h``, budget, CPE, incentive model, α, TI-CSRM window and
-the RNG seed.  Deliberately *absent* are engine-accuracy knobs (``eps``,
-``theta_cap``, backend, workers, byte budgets): those are fixed
+the RNG seed.  Deliberately *absent* are engine knobs (``eps``,
+``theta_cap``, ``workers``, byte budgets): those are fixed
 by the daemon's :class:`~repro.experiments.config.ExperimentConfig` at
 startup, because a session pins them for its lifetime — a query that
 could flip them would silently fork the pool key space.
 
 Requests and responses are plain JSON objects; :meth:`QueryRequest.from_dict`
-rejects unknown keys and invalid axis values with
-:class:`~repro.errors.ServeError` (the server maps that to HTTP 400).
+rejects unknown keys and invalid axis values — non-finite numbers
+included, since the daemon's JSON parser accepts ``NaN`` and
+``Infinity`` — with :class:`~repro.errors.ServeError` (the server maps
+that to HTTP 400).  ``alpha``, ``budget`` and ``cpe`` must be positive,
+as :meth:`~repro.experiments.datasets.Dataset.build_instance` requires.
 :func:`result_payload` serializes an
 :class:`~repro.core.allocation.AllocationResult` losslessly — seed sets
 in insertion order, per-ad revenue/cost floats untouched — so a served
@@ -29,6 +32,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from repro._checks import check_int, check_number
 from repro.errors import ServeError
 from repro.api.registry import algorithm_names
 from repro.core.allocation import AllocationResult
@@ -98,40 +102,22 @@ class QueryRequest:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"options: {list(algorithm_names())}"
             )
-        if self.incentive_model not in INCENTIVE_MODELS:
+        if (
+            not isinstance(self.incentive_model, str)
+            or self.incentive_model not in INCENTIVE_MODELS
+        ):
             raise ServeError(
                 f"unknown incentive model {self.incentive_model!r}; "
                 f"options: {sorted(INCENTIVE_MODELS)}"
             )
-        self._check_number("alpha", minimum=0.0)
-        self._check_number("budget", minimum=0.0, optional=True)
-        self._check_number("cpe", minimum=0.0, optional=True)
-        self._check_int("h", minimum=1, optional=True)
-        self._check_int("window", minimum=1, optional=True)
-        self._check_int("seed", minimum=0, optional=True)
-
-    def _check_number(self, name: str, *, minimum: float, optional: bool = False) -> None:
-        value = getattr(self, name)
-        if value is None:
-            if optional:
-                return
-            raise ServeError(f"{name} must be a number, got None")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ServeError(f"{name} must be a number, got {value!r}")
-        if value < minimum:
-            raise ServeError(f"{name} must be >= {minimum}, got {value}")
-        object.__setattr__(self, name, float(value))
-
-    def _check_int(self, name: str, *, minimum: int, optional: bool = False) -> None:
-        value = getattr(self, name)
-        if value is None:
-            if optional:
-                return
-            raise ServeError(f"{name} must be an integer, got None")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ServeError(f"{name} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ServeError(f"{name} must be >= {minimum}, got {value}")
+        for name in ("alpha", "budget", "cpe"):
+            value = check_number(getattr(self, name), name, error=ServeError,
+                                 positive=True, optional=name != "alpha")
+            object.__setattr__(self, name, value)
+        for name, minimum in (("h", 1), ("window", 1), ("seed", 0)):
+            value = check_int(getattr(self, name), name, error=ServeError,
+                              minimum=minimum, optional=True)
+            object.__setattr__(self, name, value)
 
     @property
     def pool_key(self) -> str:

@@ -41,7 +41,9 @@ new one.
 when the solver loop owns the main thread); queries that already
 overstayed ``query_timeout_s`` waiting in the queue are answered 504
 without solving at all.  A timed-out or failed query's session is
-discarded, never reused (the quarantine rule).
+discarded, never reused (the quarantine rule).  A query whose
+marketplace cannot be built (``Dataset.build_instance`` refuses it)
+answers 400 before its session is touched, so the session stays warm.
 
 **Drain.**  ``SIGTERM``/``SIGINT`` (or :meth:`begin_drain`) flips the
 server to draining: new queries get 503, queued queries finish, then
@@ -66,7 +68,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import faults as _faults
-from repro.errors import CellTimeoutError, ServeError
+from repro.errors import CellTimeoutError, InstanceError, ServeError
 from repro.experiments.config import ExperimentConfig
 from repro.serve.pool import SessionPool
 from repro.serve.schema import QueryRequest, error_payload, result_payload
@@ -79,7 +81,7 @@ DEFAULT_QUEUE_SIZE = 16
 class ServeConfig:
     """Startup configuration of one :class:`ReproServer`.
 
-    ``config`` fixes the engine side (accuracy, backend, workers,
+    ``config`` fixes the engine side (accuracy, ``workers``,
     per-store byte budget) for every session the daemon opens;
     queries cannot override it — see :mod:`repro.serve.schema`.
     ``bytes_budget`` is the *global* cap over all pooled sessions'
@@ -366,13 +368,20 @@ class ReproServer:
                     if request.seed is not None
                     else self.config.config.seed
                 )
-                instance = entry.dataset.build_instance(
-                    incentive_model=request.incentive_model,
-                    alpha=request.alpha,
-                    h=request.h,
-                    budget_override=request.budget,
-                    cpe_override=request.cpe,
-                )
+                try:
+                    instance = entry.dataset.build_instance(
+                        incentive_model=request.incentive_model,
+                        alpha=request.alpha,
+                        h=request.h,
+                        budget_override=request.budget,
+                        cpe_override=request.cpe,
+                    )
+                except InstanceError as exc:
+                    # The query's marketplace cannot be built (say, no
+                    # incentive fits its budget).  Nothing touched the
+                    # session yet, so it stays pooled and warm.
+                    self.pool.release(key)
+                    raise ServeError(f"InstanceError: {exc}") from exc
                 with _cell_deadline(remaining):
                     result = run_algorithm(
                         request.algorithm,

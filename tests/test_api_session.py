@@ -155,11 +155,13 @@ class TestSessionSemantics:
         inst = make_tiny_instance()
         with AllocationSession(inst.graph, spec=SPEC) as session:
             result = session.solve(
-                inst, spec=SPEC.override(sampler_backend="parallel", workers=2)
+                inst, spec=SPEC.override(workers=2, rr_bytes_budget=4096)
             )
-        # The session was built serial; per-solve specs cannot flip it.
-        assert result.extras["engine_spec"]["sampler_backend"] == "serial"
+        # The session was built serial and unbounded; per-solve specs
+        # cannot flip either.
         assert result.extras["engine_spec"]["workers"] is None
+        assert result.extras["engine_spec"]["rr_bytes_budget"] is None
+        assert result.extras["workers"] is None
 
     def test_pagerank_orders_cached(self):
         inst = make_tiny_instance()

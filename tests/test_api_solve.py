@@ -89,8 +89,8 @@ class TestProvenanceEcho:
         # Round-trips back into the exact spec the engine ran with.
         assert EngineSpec.from_dict(echoed) == SPEC.override(window=2)
         for key in ("theta_cap", "opt_lower", "seed", "eps", "ell",
-                    "share_samples", "lazy_candidates", "sampler_backend",
-                    "workers", "kpt_max_samples", "window"):
+                    "share_samples", "workers", "rr_bytes_budget",
+                    "kpt_max_samples", "window"):
             assert key in echoed
 
     def test_window_cleared_for_unwindowed_algorithms(self):

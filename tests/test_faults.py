@@ -405,10 +405,7 @@ class TestGridQuarantine:
                 spec,
                 str(tmp_path / "warm.jsonl"),
                 execution="warm_per_dataset",
-                config_overrides={
-                    "workers": POOL_WORKERS,
-                    "sampler_backend": "parallel",
-                },
+                config_overrides={"workers": POOL_WORKERS},
                 max_retries=1,
                 retry_backoff=0.0,
             )

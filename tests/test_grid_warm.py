@@ -343,11 +343,7 @@ class TestCrashedCellCleanup:
             {
                 **WARM,
                 "algorithms": ["BOOM"],
-                "config": {
-                    **WARM["config"],
-                    "sampler_backend": "parallel",
-                    "workers": 2,
-                },
+                "config": {**WARM["config"], "workers": 2},
             }
         )
         rows = run_grid(spec, str(tmp_path / "m.jsonl"))

@@ -3,7 +3,8 @@
 Covers the RNG-stream contract of ``repro.rrset.backend``:
 
 * ``SerialBackend`` is bit-identical to the bare ``RRSampler``;
-* ``ParallelBackend(workers=1)`` is bit-identical to serial;
+* the worker count alone picks the backend (``None``/0/1 serial, k >= 2
+  parallel), and a parallel backend needs at least two workers;
 * parallel output is reproducible for a fixed ``(seed, workers)`` pair;
 * the pool's shard merge equals a single-process run of the same shard
   plan (hypothesis-generated graphs);
@@ -29,10 +30,8 @@ from repro.rrset.backend import (
     ParallelBackend,
     SerialBackend,
     SharedGraphPool,
-    default_workers,
     make_backend,
     merge_shards,
-    resolve_backend,
     shard_counts,
 )
 from repro.rrset.sampler import RRSampler, sample_batch_flat_kernel
@@ -116,25 +115,6 @@ class TestSerialBitIdentity:
         a = SerialBackend(g, probs).sample_batch_flat(300, np.random.default_rng(9))
         b = RRSampler(g, probs).sample_batch_flat(300, np.random.default_rng(9))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_workers_1_bit_identical_to_serial(self, mid_graph):
-        g, probs = mid_graph
-        serial = SerialBackend(g, probs).sample_batch_flat(
-            300, np.random.default_rng(17)
-        )
-        with ParallelBackend(g, probs, workers=1) as backend:
-            par = backend.sample_batch_flat(300, np.random.default_rng(17))
-        assert np.array_equal(serial[0], par[0])
-        assert np.array_equal(serial[1], par[1])
-
-    def test_workers_1_widths_bit_identical(self, mid_graph):
-        g, probs = mid_graph
-        serial = SerialBackend(g, probs).sample_batch_widths(
-            100, np.random.default_rng(3)
-        )
-        with ParallelBackend(g, probs, workers=1) as backend:
-            par = backend.sample_batch_widths(100, np.random.default_rng(3))
-        assert np.array_equal(serial, par)
 
 
 class TestParallelParity:
@@ -248,74 +228,28 @@ def test_hypothesis_shard_plan_equivalence(data):
         assert members.min() >= 0 and members.max() < g.n
 
 
-class TestResolveBackend:
-    def test_serial_defaults(self):
-        assert resolve_backend("serial", None) == ("serial", None)
-        assert resolve_backend("serial", 0) == ("serial", None)
-        assert resolve_backend("serial", 1) == ("serial", None)
-
-    def test_workers_upgrade_serial(self):
-        assert resolve_backend("serial", 2) == ("parallel", 2)
-
-    def test_parallel_defaults_to_cpu_count(self):
-        assert resolve_backend("parallel", None) == ("parallel", default_workers())
-        assert resolve_backend("parallel", 0) == ("parallel", default_workers())
-        assert resolve_backend("parallel", 3) == ("parallel", 3)
-
-    def test_rejects_bad_specs(self):
-        with pytest.raises(EstimationError):
-            resolve_backend("turbo", None)
-        with pytest.raises(EstimationError):
-            resolve_backend("parallel", -1)
-
-    def test_engine_accepts_parallel_workers_0(self, mid_graph):
-        """The config default workers=0 must mean 'backend default', not
-        crash (regression: the engine used to pass 0 straight through)."""
-        from repro.core.instance import RMInstance
-        from repro.core.ads import Advertiser
-        from repro.api import EngineSpec, solve
-
-        g, probs = mid_graph
-        ads = [Advertiser(index=0, cpe=1.0, budget=40.0)]
-        inst = RMInstance(g, ads, [probs], [np.full(g.n, 1.0)])
-        spec = EngineSpec(
-            eps=0.6,
-            theta_cap=300,
-            opt_lower=5.0,
-            seed=2,
-            sampler_backend="parallel",
-            workers=0,
-        )
-        result = solve(inst, "TI-CSRM", spec)
-        assert result.extras["sampler_backend"] == "parallel"
-        assert result.extras["workers"] == default_workers()
-
-    def test_oracle_parallel_without_workers_shares_one_pool(self, mid_graph):
-        """backend='parallel' with workers unset must resolve once and
-        not leak a private pool per ad (regression)."""
-        from repro.core.instance import RMInstance
-        from repro.core.ads import Advertiser
-        from repro.core.oracles import RRStaticOracle
-
-        g, probs = mid_graph
-        ads = [Advertiser(index=i, cpe=1.0, budget=40.0) for i in range(3)]
-        inst = RMInstance(g, ads, [probs] * 3, [np.full(g.n, 1.0)] * 3)
-        oracle = RRStaticOracle(inst, n_samples=500, seed=1, backend="parallel")
-        assert oracle.spread(0, [0, 1]) > 0
-
-
 class TestFactoryAndLifecycle:
     def test_make_backend_specs(self, mid_graph):
+        """The worker count alone picks the backend."""
         g, probs = mid_graph
-        assert isinstance(make_backend(g, probs), SerialBackend)
-        assert isinstance(make_backend(g, probs, "serial"), SerialBackend)
-        b = make_backend(g, probs, "serial", workers=WORKERS)
+        for workers in (None, 0, 1):
+            assert isinstance(make_backend(g, probs, workers=workers), SerialBackend)
+        b = make_backend(g, probs, workers=WORKERS)
         try:
-            assert isinstance(b, ParallelBackend)  # workers > 1 upgrades
+            assert isinstance(b, ParallelBackend)
+            assert b.workers == WORKERS
         finally:
             b.close()
         with pytest.raises(EstimationError):
-            make_backend(g, probs, "turbo")
+            make_backend(g, probs, workers=-1)
+
+    @pytest.mark.parametrize("workers", [None, 0, 1])
+    def test_parallel_backend_needs_two_workers(self, mid_graph, workers):
+        """One worker is the serial backend's job; there is no in-process
+        parallel twin of it."""
+        g, probs = mid_graph
+        with pytest.raises(EstimationError, match="workers >= 2"):
+            ParallelBackend(g, probs, workers=workers)
 
     def test_pool_rejects_foreign_graph(self, mid_graph, shared_pool):
         other = powerlaw_configuration(50, mean_degree=4.0, exponent=2.3, seed=1)
@@ -337,13 +271,12 @@ class TestFactoryAndLifecycle:
         """A closed backend must raise, not silently fall back to the
         serial stream (regression)."""
         g, probs = mid_graph
-        for workers in (1, WORKERS):
-            backend = ParallelBackend(g, probs, workers=workers)
+        backend = ParallelBackend(g, probs, workers=WORKERS)
+        backend.sample_batch_flat(5, np.random.default_rng(0))
+        backend.close()
+        backend.close()  # idempotent
+        with pytest.raises(EstimationError):
             backend.sample_batch_flat(5, np.random.default_rng(0))
-            backend.close()
-            backend.close()  # idempotent
-            with pytest.raises(EstimationError):
-                backend.sample_batch_flat(5, np.random.default_rng(0))
 
     def test_probs_registration_dedups(self, mid_graph, shared_pool):
         _, probs = mid_graph
@@ -366,14 +299,12 @@ class TestSeamConsumers:
         ads = [Advertiser(index=i, cpe=1.0, budget=60.0) for i in range(2)]
         inst = RMInstance(g, ads, [probs] * 2, [np.full(g.n, 1.0)] * 2)
         spec = EngineSpec(
-            eps=0.6, theta_cap=400, opt_lower=5.0, seed=13,
-            sampler_backend="parallel", workers=WORKERS,
+            eps=0.6, theta_cap=400, opt_lower=5.0, seed=13, workers=WORKERS
         )
         a = solve(inst, "TI-CSRM", spec)
         b = solve(inst, "TI-CSRM", spec)
         for i in range(2):
             assert a.allocation.seeds(i) == b.allocation.seeds(i)
-        assert a.extras["sampler_backend"] == "parallel"
         assert a.extras["workers"] == WORKERS
 
     def test_engine_workers_1_matches_serial(self, mid_graph):
@@ -386,10 +317,12 @@ class TestSeamConsumers:
         inst = RMInstance(g, ads, [probs] * 2, [np.full(g.n, 1.0)] * 2)
         spec = EngineSpec(eps=0.6, theta_cap=400, opt_lower=5.0, seed=13)
         serial = solve(inst, "TI-CARM", spec)
-        par1 = solve(inst, "TI-CARM", spec, sampler_backend="parallel", workers=1)
-        for i in range(2):
-            assert serial.allocation.seeds(i) == par1.allocation.seeds(i)
-        assert serial.revenue_per_ad == par1.revenue_per_ad
+        for workers in (0, 1):
+            one = solve(inst, "TI-CARM", spec, workers=workers)
+            for i in range(2):
+                assert serial.allocation.seeds(i) == one.allocation.seeds(i)
+            assert serial.revenue_per_ad == one.revenue_per_ad
+            assert one.extras["workers"] is None  # the serial sampler ran
 
     def test_singleton_spreads_backend_param(self, mid_graph, shared_pool):
         from repro.diffusion.montecarlo import estimate_singleton_spreads_rr
@@ -425,12 +358,10 @@ class TestSeamConsumers:
         ads = [Advertiser(index=0, cpe=1.0, budget=50.0)]
         inst = RMInstance(g, ads, [probs], [np.full(g.n, 1.0)])
         serial = RRStaticOracle(inst, n_samples=1500, seed=4)
-        par1 = RRStaticOracle(inst, n_samples=1500, seed=4, backend="parallel", workers=1)
+        one = RRStaticOracle(inst, n_samples=1500, seed=4, workers=1)
         seeds = [0, 1, 2]
-        assert serial.spread(0, seeds) == par1.spread(0, seeds)
-        par = RRStaticOracle(
-            inst, n_samples=1500, seed=4, backend="parallel", workers=WORKERS
-        )
+        assert serial.spread(0, seeds) == one.spread(0, seeds)
+        par = RRStaticOracle(inst, n_samples=1500, seed=4, workers=WORKERS)
         assert par.spread(0, seeds) == pytest.approx(serial.spread(0, seeds), rel=0.25)
 
     def test_cli_workers_flag(self, capsys):

@@ -322,11 +322,15 @@ def distinct_prob_instance(h=3, n=50, seed=21):
     return RMInstance(g, advs, probs, incentives)
 
 
-def run_engine(inst, rule, selector, **overrides):
+def run_engine(inst, rule, selector, *, eager=False, **overrides):
+    """One engine run; *eager* swaps candidate caching for the full rescan."""
     spec = EngineSpec(eps=0.7, theta_cap=500, opt_lower=4.0, seed=17).override(
         **overrides
     )
-    return TIEngine(inst, spec, candidate_rule=rule, selector=selector).run()
+    engine = TIEngine(inst, spec, candidate_rule=rule, selector=selector)
+    if eager:
+        engine.lazy_candidates = False
+    return engine.run()
 
 
 class TestEngineParity:
@@ -336,9 +340,8 @@ class TestEngineParity:
         """CELF-style candidate caching must not change any allocation."""
         inst = distinct_prob_instance()
         lazy = run_engine(inst, rule, selector, share_samples=share)
-        eager = run_engine(
-            inst, rule, selector, share_samples=share, lazy_candidates=False
-        )
+        eager = run_engine(inst, rule, selector, share_samples=share, eager=True)
+        assert lazy.extras["lazy_candidates"] and not eager.extras["lazy_candidates"]
         assert lazy.allocation.pairs() == eager.allocation.pairs()
         assert lazy.revenue_per_ad == pytest.approx(eager.revenue_per_ad)
         assert lazy.seeding_cost_per_ad == pytest.approx(eager.seeding_cost_per_ad)

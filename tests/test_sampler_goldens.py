@@ -291,7 +291,7 @@ class TestDegenerateGraphs:
     def test_empty_graph_rejected(self):
         empty = DiGraph.from_edge_list([], n=0)
         with pytest.raises(EstimationError):
-            ParallelBackend(empty, np.zeros(0), workers=1)
+            ParallelBackend(empty, np.zeros(0), workers=2)
         with pytest.raises(EstimationError):
             RRSampler(empty, np.zeros(0)).sample(np.random.default_rng(0))
         with pytest.raises(EstimationError):

@@ -323,6 +323,34 @@ class TestServerIntegration:
             ok = serve_client.query(addr, dataset=dict(ENTRY), seed=2)
             assert ok["status"] == "ok"
 
+    def test_unbuildable_query_keeps_warm_session(self):
+        """A query whose marketplace cannot be built answers 400 and
+        leaves its warm session pooled.  Non-finite numbers arrive as the
+        bare NaN/Infinity literals (json.dumps writes them, and the
+        daemon's parser accepts them); an alpha of 1e12 passes the schema
+        but no incentive fits any budget.  None of them discards the
+        session, so the next valid query is a warm hit sampling 0 sets."""
+        with running_server() as server:
+            addr = server.address
+            axes = dict(dataset=dict(ENTRY), seed=4)
+            first = serve_client.query(addr, **axes)
+            for bad in (
+                {"alpha": float("nan")},
+                {"alpha": 1e12},
+                {"cpe": float("nan")},
+                {"budget": float("inf")},
+            ):
+                status, payload = serve_client.request(
+                    addr, "/solve", {**axes, **bad}
+                )
+                assert status == 400, (bad, payload)
+            stats = serve_client.stats(addr)
+            again = serve_client.query(addr, **axes)
+        assert stats["pool"]["discards"] == 0
+        assert again["serve"]["warm_session"] is True
+        assert again["serve"]["sets_sampled"] == 0
+        assert _comparable(again) == _comparable(first)
+
     def test_answer_follows_pool_key_solve_history(self):
         """A seed-2 query after a seed-1 query on the same pool key adopts
         the RR sets the seed-1 query drew: it returns the seed-1
@@ -461,9 +489,7 @@ class TestServeFaultTolerance:
         """A worker killed during a served query is respawned and the
         query succeeds — supervision holds through the serving layer —
         and the drain leaves no shared-memory segments behind."""
-        parallel = dataclasses.replace(
-            CFG, sampler_backend="parallel", workers=2
-        )
+        parallel = dataclasses.replace(CFG, workers=2)
         plan = FaultPlan([FaultRule(seam="worker.kill", at=0)], seed=3)
         with running_server(config=parallel) as server, fault_plan(plan):
             payload = serve_client.query(
