@@ -36,6 +36,12 @@ thread-safe (one solve at a time), matching the engine.
 Observability: :attr:`stats` counts solves, sampler batch calls and
 sets drawn, so tests (and benchmarks) can assert that a warm re-solve
 really skipped sampling.
+
+Dynamic graphs (docs/ARCHITECTURE.md §14):
+:meth:`AllocationSession.apply_edge_updates` repairs a session's
+stores after an edge-update batch, and :func:`apply_edge_batch` is the
+one edge-batch step grid dynamic cells and adaptive campaigns share,
+with or without a session.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from repro.core.allocation import AllocationResult
 from repro.core.instance import RMInstance
 from repro.core.ti_engine import EngineWarmState
 from repro.graph.digraph import DiGraph
-from repro.graph.updates import compile_updates, normalize_updates
+from repro.graph.updates import UpdatePlan, compile_updates
 from repro.rrset.backend import SamplerBackend, SharedGraphPool, make_backend
 from repro.rrset.collection import SharedRRStore
 
@@ -201,10 +207,17 @@ class AllocationSession:
         Instances built on the pre-mutation graph are rejected by later
         :meth:`solve` calls — rebuild them on :attr:`graph`.
         """
+        return self._apply_plan(compile_updates(self.graph, updates))
+
+    def _apply_plan(self, plan: UpdatePlan) -> dict:
+        """Repair the warm state for *plan*, compiled against :attr:`graph`."""
         if self._closed:
             raise AllocationError("session is closed")
-        batch = normalize_updates(updates)
-        plan = compile_updates(self.graph, batch)
+        if plan.old_graph is not self.graph:
+            raise AllocationError(
+                "update plan was compiled against another graph than this "
+                "session's"
+            )
         warm = self._warm
         workers = self.spec.workers
 
@@ -437,3 +450,29 @@ class AllocationSession:
             f"AllocationSession(n={self.graph.n}, solves={s['solves']}, "
             f"stores={s['stores']}, stored_sets={s['stored_sets']})"
         )
+
+
+def apply_edge_batch(
+    graph: DiGraph,
+    probs,
+    batch,
+    session: AllocationSession | None = None,
+) -> tuple[DiGraph, list[np.ndarray], dict]:
+    """Apply one edge-update batch to a market: ``(graph, probs, report)``.
+
+    The edge-batch step that grid dynamic cells and adaptive campaigns
+    share (docs/ARCHITECTURE.md §14).  *batch* is compiled once against
+    *graph*.  With a *session* bound to *graph*, the session repairs its
+    warm RR stores incrementally and its
+    :meth:`~AllocationSession.apply_edge_updates` report is returned.
+    Without one, the plan's new graph is taken and the report is the
+    plan's summary with ``"mode": "cold"``.  Either way every vector in
+    *probs* is remapped through the same plan, so warm and cold callers
+    continue on identical markets.
+    """
+    plan = compile_updates(graph, batch)
+    if session is None:
+        report = {**plan.summary(), "mode": "cold"}
+    else:
+        report = session._apply_plan(plan)
+    return plan.new_graph, [plan.apply_probs(p) for p in probs], report

@@ -34,6 +34,7 @@ import argparse
 import math
 import sys
 
+from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import DATASET_BUILDERS, build_dataset
 from repro.experiments.figures import run_alpha_sweep
@@ -41,6 +42,9 @@ from repro.experiments.harness import ALGORITHMS, run_algorithm
 from repro.experiments.reporting import format_table
 from repro.experiments.tables import table1_rows, table2_rows
 
+#: Exit code for malformed input: a ``repro.errors`` failure, reported in
+#: one ``error: <Class>: <message>`` line (argparse uses it too).
+EXIT_USAGE = 2
 #: ``grid`` exit code: the grid completed but left quarantined cells
 #: behind (re-run the same manifest to re-attempt them).
 EXIT_QUARANTINED = 3
@@ -223,19 +227,17 @@ def cmd_grid(args) -> int:
                 return
             line = prefix + f"alpha={row['alpha']} -> revenue={row['revenue']:.1f}"
             session = row.get("session")
-            if session is not None and "group" in session:
-                line += (
-                    f" [session {session['group']}"
-                    f" solve={session['solve_index']}"
-                    f" sampled={session['sets_sampled']}]"
-                )
-            elif session is not None:
-                # Dynamic cells (spec "mutations" block) run a private
-                # incrementally-maintained session instead of a group.
+            if session is not None and "mutations" in row:
                 line += (
                     f" [dynamic invalidated={session['invalidated_sets']}"
                     f" rate={session['invalidation_rate']:.3f}"
                     f" resamples={session['resample_batches']}]"
+                )
+            elif session is not None:
+                line += (
+                    f" [session {session['group']}"
+                    f" solve={session['solve_index']}"
+                    f" sampled={session['sets_sampled']}]"
                 )
             print(line)
 
@@ -774,7 +776,13 @@ def main(argv=None) -> int:
         return cmd_lint(argparse.Namespace(lint_args=rest))
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # Malformed input (a bad flag value, a missing file): one line,
+        # and argparse's usage-error code.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests on main()

@@ -36,7 +36,6 @@ from repro.errors import InstanceError
 from repro.core.ads import Advertiser
 from repro.core.instance import RMInstance
 from repro.diffusion.simulate import simulate_cascade
-from repro.graph.updates import compile_updates
 
 
 @dataclass
@@ -117,15 +116,14 @@ class AdaptiveCampaign:
         edge-update batch (anything
         :func:`repro.graph.updates.normalize_updates` accepts) applied
         *after* window ``k`` realizes and before window ``k+1`` plans —
-        the streaming setting of docs/ARCHITECTURE.md §14.  With
-        ``reuse_samples`` the session repairs its warm RR stores
-        incrementally via
-        :meth:`~repro.api.session.AllocationSession.apply_edge_updates`;
-        cold campaigns recompile the graph and probability vectors from
-        scratch.  Both legs remap every ad's probabilities through the
-        same deterministic :class:`~repro.graph.updates.UpdatePlan`, so
-        they plan over identical post-update markets.  Per-batch
-        reports land in :attr:`CampaignResult.mutations`.
+        the streaming setting of docs/ARCHITECTURE.md §14.  Each batch
+        goes through :func:`repro.api.session.apply_edge_batch`, the
+        step grid dynamic cells use too: with ``reuse_samples`` the
+        session repairs its warm RR stores incrementally, and cold
+        campaigns take the recompiled graph.  Both legs remap every
+        ad's probabilities through the same deterministic plan, so they
+        plan over identical post-update markets.  Per-batch reports
+        land in :attr:`CampaignResult.mutations`.
     """
 
     def __init__(
@@ -171,7 +169,7 @@ class AdaptiveCampaign:
 
     def run(self) -> CampaignResult:
         """Execute all windows; returns realized outcomes."""
-        from repro.api.session import AllocationSession
+        from repro.api.session import AllocationSession, apply_edge_batch
         from repro.api.solve import solve
 
         inst = self.instance
@@ -198,15 +196,13 @@ class AdaptiveCampaign:
                     break
                 sub, sub_to_original = built
                 planner_seed = int(self.rng.integers(0, 2**31 - 1))
-                window_spec = spec.override(seed=planner_seed)
-                if session is not None:
-                    plan = session.solve(
-                        sub, self.algorithm, window_spec, blocked=frozen.copy()
-                    )
-                else:
-                    plan = solve(
-                        sub, self.algorithm, window_spec, blocked=frozen.copy()
-                    )
+                plan = solve(
+                    sub,
+                    self.algorithm,
+                    spec.override(seed=planner_seed),
+                    blocked=frozen.copy(),
+                    session=session,
+                )
 
                 outcome = self._realize(
                     window,
@@ -222,18 +218,10 @@ class AdaptiveCampaign:
                     break
                 if window < len(self.edge_updates) and self.edge_updates[window]:
                     # The streaming boundary: mutate the graph before the
-                    # next window plans.  Both legs remap probabilities
-                    # through the same deterministic plan; the warm leg
-                    # additionally repairs its RR stores incrementally.
-                    batch = self.edge_updates[window]
-                    update_plan = compile_updates(graph, batch)
-                    if session is not None:
-                        report = session.apply_edge_updates(batch)
-                        graph = session.graph
-                    else:
-                        graph = update_plan.new_graph
-                        report = {**update_plan.summary(), "mode": "cold"}
-                    probs = [update_plan.apply_probs(p) for p in probs]
+                    # next window plans.
+                    graph, probs, report = apply_edge_batch(
+                        graph, probs, self.edge_updates[window], session
+                    )
                     result.mutations.append(report)
         finally:
             if session is not None:
@@ -245,8 +233,8 @@ class AdaptiveCampaign:
         self,
         budgets: list[float],
         frozen: np.ndarray,
-        graph=None,
-        probs=None,
+        graph,
+        probs,
     ):
         """The remaining-market instance: frozen users are priced out.
 
@@ -258,10 +246,6 @@ class AdaptiveCampaign:
         sub_to_original)`` or ``None`` when no ad can still participate.
         """
         inst = self.instance
-        if graph is None:
-            graph = inst.graph
-        if probs is None:
-            probs = inst.ad_probs
         advertisers = []
         sub_probs = []
         incentives = []
@@ -297,15 +281,11 @@ class AdaptiveCampaign:
         sub_to_original: list[int],
         frozen: np.ndarray,
         remaining: list[float],
-        graph=None,
-        probs=None,
+        graph,
+        probs,
     ) -> WindowOutcome:
         """Simulate the window's cascades and settle payments."""
         inst = self.instance
-        if graph is None:
-            graph = inst.graph
-        if probs is None:
-            probs = inst.ad_probs
         h = inst.h
         seeds_per_ad: list[list[int]] = [[] for _ in range(h)]
         engagements = [0] * h

@@ -23,7 +23,8 @@ windows — and :func:`run_grid` runs the full cross product:
   in single runs.
 
 * **Execution modes (docs/ARCHITECTURE.md §10).**  The optional
-  ``execution`` block selects how cells are driven:
+  ``execution`` block selects how cells are driven; either way every
+  cell, static or dynamic, runs through :func:`run_cell`:
 
   - ``{"mode": "cold"}`` (the default) solves every cell from scratch —
     results are a pure function of ``(spec, root seed)``, independent
@@ -37,7 +38,9 @@ windows — and :func:`run_grid` runs the full cross product:
     order-independence for speed: each cell's manifest row carries a
     ``session`` provenance block (group key, solve index, per-cell
     sampler-call / store-hit deltas), and the manifest header pins the
-    execution mode so cold and warm rows can never silently mix.
+    execution mode so cold and warm rows can never silently mix.  A
+    session a dynamic cell mutated is reopened before the group's next
+    cell, so no cell sees another cell's mutations.
 
 * **Cell retry and quarantine (docs/ARCHITECTURE.md §11).**  The
   ``execution`` block's ``cell_timeout_s`` / ``max_retries`` /
@@ -75,28 +78,25 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from repro import faults as _faults
 from repro._checks import check_int, check_number
-from repro.errors import CellTimeoutError, FaultInjectedError, SpecError
-from repro.api.registry import algorithm_names, get_algorithm
-from repro.api.session import AllocationSession
+from repro.errors import CellTimeoutError, SpecError
+from repro.api.registry import algorithm_names
+from repro.api.session import AllocationSession, apply_edge_batch
+from repro.api.solve import solve
 from repro.core.instance import RMInstance
-from repro.graph.updates import (
-    UPDATE_OPS,
-    compile_updates,
-    random_update_schedule,
-)
+from repro.graph.updates import UPDATE_OPS, random_update_schedule
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import (
     Dataset,
     build_dataset,
     build_edge_list_dataset,
 )
-from repro.experiments.harness import run_algorithm
+from repro.experiments.harness import opt_lower_for
 from repro.experiments.reporting import results_dir
 from repro.incentives.models import INCENTIVE_MODELS
 
@@ -280,7 +280,7 @@ class GridSpec:
                 )
         if not isinstance(self.config, dict):
             raise SpecError(f"config must be an object, got {self.config!r}")
-        unknown = set(self.config) - {f.name for f in _config_fields()}
+        unknown = set(self.config) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise SpecError(f"unknown config keys: {sorted(unknown)}")
         # Run EngineSpec's own checks now, not one quarantined cell at a
@@ -336,7 +336,7 @@ class GridSpec:
         """Build a spec from a plain dict (e.g. parsed JSON)."""
         if not isinstance(data, dict):
             raise SpecError(f"spec must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in _spec_fields()}
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise SpecError(
@@ -453,18 +453,6 @@ class GridSpec:
         return ExperimentConfig(**merged)
 
 
-def _spec_fields():
-    import dataclasses
-
-    return dataclasses.fields(GridSpec)
-
-
-def _config_fields():
-    import dataclasses
-
-    return dataclasses.fields(ExperimentConfig)
-
-
 def _configs_compatible(previous: dict | None, current: dict) -> bool:
     """Whether a manifest written under *previous* can resume under *current*.
 
@@ -477,7 +465,7 @@ def _configs_compatible(previous: dict | None, current: dict) -> bool:
     if not isinstance(previous, dict):
         return False
     defaults = {
-        f.name: f.default for f in _config_fields() if f.default is not MISSING
+        f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING
     }
     for key in sorted(set(previous) | set(current)):
         if key in previous and key in current:
@@ -503,15 +491,29 @@ _DATASET_MEMO: dict[str, Dataset] = {}
 
 
 def _cell_dataset(entry: dict, memo: dict | None = None) -> Dataset:
+    """The dataset a grid or serve dataset entry names, built once per memo.
+
+    Raises only :mod:`repro.errors` types, since the entry is spec or
+    query input: an unknown name is an ``InstanceError``, an unreadable
+    edge list a ``GraphError``, and an option the builder does not take,
+    or a value of the wrong type, a ``SpecError`` naming it.
+    """
     if memo is None:
         memo = _DATASET_MEMO
     key = _canonical(entry)
     if key not in memo:
-        kwargs = dict(entry)
-        if "path" in kwargs:
-            memo[key] = build_edge_list_dataset(kwargs.pop("path"), **kwargs)
-        else:
-            memo[key] = build_dataset(kwargs.pop("name"), **kwargs)
+        # JSON arrays arrive as lists; builders take tuples, and
+        # build_dataset keys its cache on the options.
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in entry.items()}
+        try:
+            if "path" in kwargs:
+                memo[key] = build_edge_list_dataset(kwargs.pop("path"), **kwargs)
+            else:
+                memo[key] = build_dataset(kwargs.pop("name"), **kwargs)
+        except (TypeError, ValueError) as exc:
+            # What builders raise for an option they do not take or a
+            # value of the wrong type or range.
+            raise SpecError(f"dataset entry {entry!r} cannot be built: {exc}") from exc
     return memo[key]
 
 
@@ -523,21 +525,22 @@ def clear_grid_caches() -> None:
 # ----------------------------------------------------------------------
 # Warm execution: session groups
 # ----------------------------------------------------------------------
-def session_group_key(cell: GridCell) -> str:
-    """The warm-session group a cell belongs to, as a provenance string.
+def session_group_key(entry: dict) -> str:
+    """The warm-session key of a dataset entry, as a provenance string.
 
-    Cells share an :class:`~repro.api.session.AllocationSession` iff
-    they share a *dataset entry* — the entry (name/path plus every
-    builder option, probability model included) fully determines the
-    graph and the probability family, which is exactly the state a
-    session keeps warm.  Budgets, CPEs, incentives, ``h``, α and the
-    algorithm all vary freely within a group.  The key is
-    human-readable (the dataset label) plus a digest of the full entry,
-    so two entries with the same label but different builder options
-    land in different groups.
+    Grid cells share an :class:`~repro.api.session.AllocationSession`
+    iff they share a *dataset entry*, and ``repro serve`` pools its
+    sessions under the same key (:func:`repro.serve.pool_key` is this
+    function).  The entry (name/path plus every builder option,
+    probability model included) fully determines the graph and the
+    probability family, which is exactly the state a session keeps
+    warm.  Budgets, CPEs, incentives, ``h``, α and the algorithm all
+    vary freely under one key.  The key is human-readable (the dataset
+    label) plus a digest of the full entry, so two entries with the
+    same label but different builder options get different keys.
     """
-    digest = hashlib.sha256(_canonical(cell.dataset).encode()).hexdigest()[:8]
-    return f"{dataset_label(cell.dataset)}@{digest}"
+    digest = hashlib.sha256(_canonical(entry).encode()).hexdigest()[:8]
+    return f"{dataset_label(entry)}@{digest}"
 
 
 class WarmSessionGroups:
@@ -565,9 +568,18 @@ class WarmSessionGroups:
         self._sessions: dict[str, AllocationSession] = {}
 
     def session_for(self, cell: GridCell) -> AllocationSession:
-        """The (lazily opened) session of *cell*'s group."""
-        key = session_group_key(cell)
+        """The (lazily opened) session of *cell*'s group.
+
+        A session a dynamic cell mutated (``graph_epoch != 0``) no
+        longer answers for the group's dataset entry, so it is closed
+        and a fresh one opened, as ``SessionPool.lease`` does in
+        ``repro serve``: no cell ever sees another cell's mutations.
+        """
+        key = session_group_key(cell.dataset)
         session = self._sessions.get(key)
+        if session is not None and session.graph_epoch != 0:
+            self.close_group(key)
+            session = None
         if session is None:
             dataset = _cell_dataset(cell.dataset, self._memo)
             # The config pins workers for the whole group (an
@@ -607,13 +619,22 @@ def run_cell(
     session: AllocationSession | None = None,
     dataset_memo: dict | None = None,
 ) -> dict:
-    """Run one cell; returns its manifest row.
+    """Run one cell of any kind; returns its manifest row.
 
-    *session*, when given, threads an
-    :class:`~repro.api.session.AllocationSession` through the solve
-    (warm execution; the caller owns the session's lifecycle and
-    provenance recording).  *dataset_memo* scopes the dataset cache to
-    the caller; ``None`` falls back to the module-level memo.
+    A static cell (empty ``spec.mutations``) solves its instance once.
+    A dynamic cell first applies its :func:`cell_update_schedule`, one
+    :func:`~repro.api.session.apply_edge_batch` per batch, and solves
+    the market left after the last batch.  It prices ``OPT_s`` with KPT,
+    since the dataset's singleton bounds describe the unmutated graph,
+    and its row gains a ``mutations`` block with one report per batch.
+
+    A cold cell passes ``session=None``.  A warm cell solves through
+    *session*, whose lifecycle the caller owns; a dynamic one primes it
+    on the unmutated graph first, so the batches repair its RR stores
+    instead of resampling them.  A warm row gains a ``session`` block:
+    the session counters around this cell (docs/EXPERIMENTS.md §4).
+    *dataset_memo* scopes the dataset cache to the caller; ``None``
+    falls back to the module-level memo.
     """
     dataset = _cell_dataset(cell.dataset, dataset_memo)
     instance = dataset.build_instance(
@@ -624,17 +645,25 @@ def run_cell(
         cpe_override=cell.cpe,
     )
     seed = cell.seed(spec.seed)
-    result = run_algorithm(
-        cell.algorithm,
-        dataset,
-        instance,
-        config,
-        window=cell.window,
-        seed=seed,
-        session=session,
-    )
+    opt_lower = "kpt" if spec.mutations else opt_lower_for(dataset, instance, config)
+    engine_spec = config.engine_spec(opt_lower=opt_lower, window=cell.window, seed=seed)
+    before = None if session is None else session.stats
     row = {"kind": "cell", "cell_id": cell.cell_id, "cell_seed": seed}
     row.update(cell.params())
+    if spec.mutations:
+        if session is not None:
+            solve(instance, cell.algorithm, engine_spec, session=session)
+        graph, probs, applied = dataset.graph, instance.ad_probs, []
+        for batch in cell_update_schedule(spec, cell, dataset.graph):
+            graph, probs, report = apply_edge_batch(graph, probs, batch, session)
+            applied.append(report)
+        instance = RMInstance(graph, instance.advertisers, probs, instance.incentives)
+        row["mutations"] = {
+            **spec.mutations,
+            "applied": applied,
+            "warm_incremental": session is not None,
+        }
+    result = solve(instance, cell.algorithm, engine_spec, session=session)
     row.update(
         revenue=result.total_revenue,
         seed_cost=result.total_seeding_cost,
@@ -647,52 +676,33 @@ def run_cell(
         # bytes_per_rr_set / spilled_stores / rr_bytes_budget).
         memory=result.extras.get("memory"),
     )
+    if session is not None:
+        after = session.stats
+        # A dynamic cell's session opened fresh for it (see
+        # WarmSessionGroups.session_for), so its totals are the cell's own.
+        totals = _SESSION_TOTALS + (_MUTATION_TOTALS if spec.mutations else ())
+        row["session"] = {
+            "group": session_group_key(cell.dataset),
+            "solve_index": after["solves"] - 1,
+            "warm_resolve": after["solves"] > 1,
+            **{key: after[key] - before[key] for key in _SESSION_DELTAS},
+            **{key: after[key] for key in totals},
+        }
     return row
 
 
-def _run_warm_cell(
-    spec: GridSpec,
-    cell: GridCell,
-    config: ExperimentConfig,
-    groups: WarmSessionGroups,
-    memo: dict,
-) -> dict:
-    """Run one cell through its group session; row gains a ``session`` block.
-
-    The block records the reuse this cell actually saw, as deltas of
-    the session counters around the solve:
-
-    * ``group`` — the cell's :func:`session_group_key`;
-    * ``solve_index`` — 0-based position within the group's session
-      (an uninterrupted run numbers the group's cells 0, 1, …);
-    * ``warm_resolve`` — the session was already warm when this cell
-      ran (``solve_index > 0``: it could adopt earlier cells' RR sets);
-    * ``sample_batches`` / ``sets_sampled`` — sampler work *this* cell
-      performed (0 sets for a fully store-served re-solve);
-    * ``store_hits`` / ``store_misses`` — per distinct probability
-      vector, whether this cell found an existing store or created one;
-    * ``stored_sets`` — the group store total after this cell.
-    """
-    session = groups.session_for(cell)
-    before = session.stats
-    row = run_cell(spec, cell, config, session=session, dataset_memo=memo)
-    after = session.stats
-    row["session"] = {
-        "group": session_group_key(cell),
-        "solve_index": after["solves"] - 1,
-        "warm_resolve": after["solves"] > 1,
-        "sample_batches": after["sample_batches"] - before["sample_batches"],
-        "sets_sampled": after["sets_sampled"] - before["sets_sampled"],
-        "store_hits": after["store_hits"] - before["store_hits"],
-        "store_misses": after["store_misses"] - before["store_misses"],
-        "stored_sets": after["stored_sets"],
-        # Memory accounting of the warm stores after this cell.
-        "store_bytes": after["store_bytes"],
-        "peak_store_bytes": after["peak_store_bytes"],
-        "bytes_per_rr_set": after["bytes_per_rr_set"],
-        "spilled_stores": after["spilled_stores"],
-    }
-    return row
+#: What a warm row's ``session`` block reports: this cell's sampler and
+#: store work, the session's store totals after the cell, and, for a
+#: dynamic cell, its mutation totals.
+_SESSION_DELTAS = ("sample_batches", "sets_sampled", "store_hits", "store_misses")
+_SESSION_TOTALS = (
+    "stored_sets", "store_bytes", "peak_store_bytes", "bytes_per_rr_set",
+    "spilled_stores",
+)
+_MUTATION_TOTALS = (
+    "mutations", "invalidated_sets", "mutation_checked_sets",
+    "invalidation_rate", "resample_batches", "graph_epoch",
+)
 
 
 def cell_update_schedule(spec: GridSpec, cell: GridCell, graph) -> list:
@@ -714,121 +724,6 @@ def cell_update_schedule(spec: GridSpec, cell: GridCell, graph) -> list:
         ops=tuple(mut["ops"]),
         prob=mut["prob"],
     )
-
-
-def _run_dynamic_cell(
-    spec: GridSpec,
-    cell: GridCell,
-    config: ExperimentConfig,
-    *,
-    memo: dict | None,
-    warm: bool,
-) -> dict:
-    """Run one *dynamic* cell: mutate the graph, solve the final market.
-
-    The measured solve runs on the graph after the cell's full
-    :func:`cell_update_schedule`:
-
-    * cold mode recompiles the schedule into a fresh graph and
-      probability vectors and solves from scratch — the differential
-      baseline;
-    * warm mode opens a *private* session (never a shared group session
-      — mutating one would poison every later cell of the group),
-      primes its RR stores with a solve on the pre-mutation graph, then
-      applies each batch through
-      :meth:`~repro.api.session.AllocationSession.apply_edge_updates`
-      so the measured solve reuses every surviving RR set.  The row's
-      ``mutations`` block carries the per-batch invalidation reports
-      and the session's cumulative ``invalidated_sets`` /
-      ``invalidation_rate`` / ``resample_batches`` counters.
-
-    Dynamic cells price ``OPT_s`` with KPT on the post-update graph:
-    the dataset's precomputed singleton bounds describe the
-    pre-mutation graph and could exceed true post-deletion spreads.
-    """
-    from repro.api.solve import solve
-
-    dataset = _cell_dataset(cell.dataset, memo)
-    instance = dataset.build_instance(
-        incentive_model=cell.incentive_model,
-        alpha=cell.alpha,
-        h=cell.h,
-        budget_override=cell.budget,
-        cpe_override=cell.cpe,
-    )
-    seed = cell.seed(spec.seed)
-    schedule = cell_update_schedule(spec, cell, dataset.graph)
-    engine_spec = config.engine_spec(
-        opt_lower="kpt", window=cell.window, seed=seed
-    )
-    definition = get_algorithm(cell.algorithm)
-    graph = dataset.graph
-    probs = [np.asarray(p, dtype=np.float64) for p in instance.ad_probs]
-    reports: list[dict] = []
-    session_block = None
-    if warm:
-        session = AllocationSession(graph, spec=config.engine_spec(opt_lower="kpt"))
-        try:
-            # Prime the warm stores on the pre-mutation graph, then
-            # maintain them incrementally through every batch.
-            session.solve(instance, definition, engine_spec)
-            for batch in schedule:
-                update_plan = compile_updates(graph, batch)
-                reports.append(session.apply_edge_updates(batch))
-                graph = session.graph
-                probs = [update_plan.apply_probs(p) for p in probs]
-            final = RMInstance(
-                graph, instance.advertisers, probs, instance.incentives
-            )
-            start = time.perf_counter()
-            result = session.solve(final, definition, engine_spec)
-            runtime = time.perf_counter() - start
-            stats = session.stats
-            session_block = {
-                key: stats[key]
-                for key in (
-                    "mutations",
-                    "invalidated_sets",
-                    "mutation_checked_sets",
-                    "invalidation_rate",
-                    "resample_batches",
-                    "graph_epoch",
-                    "sample_batches",
-                    "sets_sampled",
-                )
-            }
-        finally:
-            session.close()
-    else:
-        for batch in schedule:
-            update_plan = compile_updates(graph, batch)
-            graph = update_plan.new_graph
-            probs = [update_plan.apply_probs(p) for p in probs]
-            reports.append({**update_plan.summary(), "mode": "cold"})
-        final = RMInstance(
-            graph, instance.advertisers, probs, instance.incentives
-        )
-        start = time.perf_counter()
-        result = solve(final, definition, engine_spec)
-        runtime = time.perf_counter() - start
-    row = {"kind": "cell", "cell_id": cell.cell_id, "cell_seed": seed}
-    row.update(cell.params())
-    row.update(
-        revenue=result.total_revenue,
-        seed_cost=result.total_seeding_cost,
-        seeds=result.total_seeds,
-        runtime_s=runtime,
-        engine_spec=result.extras.get("engine_spec"),
-        memory=result.extras.get("memory"),
-    )
-    row["mutations"] = {
-        **spec.mutations,
-        "applied": reports,
-        "warm_incremental": warm,
-    }
-    if session_block is not None:
-        row["session"] = session_block
-    return row
 
 
 # ----------------------------------------------------------------------
@@ -921,25 +816,17 @@ def _run_cell_with_retries(
                     if rule is not None and rule.delay_s:
                         time.sleep(rule.delay_s)
                     plan.maybe_raise("cell.raise", key=cell.cell_id)
-                if spec.mutations:
-                    # Dynamic cells never touch a shared group session
-                    # (mutating it would poison the group's later
-                    # cells); warm mode means "maintain a private
-                    # session incrementally" instead.
-                    row = _run_dynamic_cell(
-                        spec, cell, config, memo=memo, warm=warm
-                    )
-                elif warm:
-                    row = _run_warm_cell(spec, cell, config, groups, memo)
-                else:
-                    row = run_cell(spec, cell, config, dataset_memo=memo)
+                session = groups.session_for(cell) if warm else None
+                row = run_cell(
+                    spec, cell, config, session=session, dataset_memo=memo
+                )
         except Exception as exc:
             if warm:
                 # The group's session state is unknown after a failure
                 # (a timeout can interrupt a solve anywhere): tear it
                 # down now; the next attempt — or the group's next cell
                 # — reopens a fresh session lazily.
-                groups.close_group(session_group_key(cell))
+                groups.close_group(session_group_key(cell.dataset))
             if attempts > max_retries:
                 return _error_row(spec, cell, exc, attempts)
             if retry_backoff:
@@ -1126,7 +1013,7 @@ def run_grid(
     if warm:
         # Group-contiguous execution: one session opens, serves all of
         # its group's pending cells, and closes before the next group.
-        keys = [session_group_key(cell) for cell in cells]
+        keys = [session_group_key(cell.dataset) for cell in cells]
         first_seen: dict[str, int] = {}
         for index, key in enumerate(keys):
             first_seen.setdefault(key, index)

@@ -28,7 +28,8 @@ from repro.experiments.datasets import Dataset
 ALGORITHMS = BUILTIN_ALGORITHMS
 
 
-def _opt_lower(dataset: Dataset, instance: RMInstance, config: ExperimentConfig):
+def opt_lower_for(dataset: Dataset, instance: RMInstance, config: ExperimentConfig):
+    """The ``opt_lower`` *config* asks for: singleton bounds or ``"kpt"``."""
     if config.opt_lower_mode == "singleton":
         return dataset.opt_lower_bounds(instance.h)
     if config.opt_lower_mode == "kpt":
@@ -62,7 +63,7 @@ def run_algorithm(
             f"unknown algorithm {algorithm!r}; options: {list(algorithm_names())}"
         ) from None
     spec = config.engine_spec(
-        opt_lower=_opt_lower(dataset, instance, config), window=window, seed=seed
+        opt_lower=opt_lower_for(dataset, instance, config), window=window, seed=seed
     )
     if session is not None:
         return session.solve(instance, definition, spec)

@@ -122,14 +122,19 @@ def read_edge_array(
     *chunk_bytes*.  ``#``/``%`` lines are comments; ``key=value`` integer
     tokens found in them (``n=``, ``dedupe=``, ``loops=``) are returned in
     *header*.  Data lines need at least two integer columns (``tail
-    head``); extra columns are ignored.
+    head``); extra columns are ignored.  A missing or unreadable *path*
+    raises :class:`GraphError`.
     """
     if chunk_bytes < 1:
         raise GraphError(f"chunk_bytes must be positive, got {chunk_bytes}")
     header: dict = {}
     blocks: list[np.ndarray] = []
     carry = b""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise GraphError(f"cannot read edge list {path!r}: {exc.strerror}") from None
+    with fh:
         while True:
             data = fh.read(chunk_bytes)
             if not data:
@@ -378,7 +383,10 @@ def ingest_edge_list(
 
 def _source_signature(path: str) -> str:
     """Cheap change-detection key for a source file: size + mtime."""
-    stat = os.stat(path)
+    try:
+        stat = os.stat(path)
+    except OSError as exc:
+        raise GraphError(f"cannot read edge list {path!r}: {exc.strerror}") from None
     return f"{stat.st_size}:{stat.st_mtime_ns}"
 
 

@@ -2,10 +2,11 @@
 ``repro serve``.
 
 A :class:`SessionPool` maps :func:`repro.serve.schema.pool_key` — the
-``(dataset, probability family)`` identity of a query — to one live
-session, so every query over the same graph + probs rides the same RR
-stores, KPT estimators, pagerank orders and worker pool.  It makes the
-three service decisions the batch runners never had to:
+``(dataset, probability family)`` identity of a query, and the grid
+runner's session-group key — to one live session, so every query over
+the same graph + probs rides the same RR stores, KPT estimators,
+pagerank orders and worker pool.  It makes the three service decisions
+the batch runners never had to:
 
 * **Warm routing.**  :meth:`lease` returns the key's existing session
   (a *warm hit* — the solve adopts already-drawn RR sets) or builds the
@@ -112,7 +113,9 @@ class SessionPool:
         dataset (synthetic analog or ingested edge list — the same
         routing as the grid runner's
         :func:`~repro.experiments.grid._cell_dataset`) and opens one
-        :class:`AllocationSession` on its graph.
+        :class:`AllocationSession` on its graph.  An entry that cannot
+        be built raises a :mod:`repro.errors` type before any session
+        opens; the server answers it 400.
         """
         if self._closed:
             raise ServeError("session pool is closed")

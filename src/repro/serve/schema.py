@@ -1,9 +1,10 @@
 """Request/response schema of the ``repro serve`` allocation service.
 
 One allocation query is a :class:`QueryRequest`: a grid-style *dataset
-entry* (which fully determines the graph **and** the probability family
-— the same contract as :func:`repro.experiments.grid.session_group_key`)
-plus the per-query axes a warm
+entry* (which fully determines the graph **and** the probability family;
+:func:`pool_key` is the grid's
+:func:`~repro.experiments.grid.session_group_key`, so both layers key
+warm sessions alike) plus the per-query axes a warm
 :class:`~repro.api.session.AllocationSession` re-solves cheaply:
 algorithm, ``h``, budget, CPE, incentive model, α, TI-CSRM window and
 the RNG seed.  Deliberately *absent* are engine knobs (``eps``,
@@ -28,35 +29,15 @@ response can be compared byte-for-byte against a direct
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 
 from repro._checks import check_int, check_number
 from repro.errors import ServeError
 from repro.api.registry import algorithm_names
 from repro.core.allocation import AllocationResult
+from repro.experiments.grid import dataset_label
+from repro.experiments.grid import session_group_key as pool_key
 from repro.incentives.models import INCENTIVE_MODELS
-
-
-def _canonical(data) -> str:
-    """Canonical JSON for digests (same form the grid runner uses)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def pool_key(dataset_entry: dict) -> str:
-    """The warm-session pool key of a dataset entry.
-
-    Identical in shape and semantics to
-    :func:`repro.experiments.grid.session_group_key`: a human-readable
-    dataset label plus a digest of the *full* entry (name/path and every
-    builder option, probability model included), so two entries with the
-    same label but different builder options never share a session.
-    """
-    from repro.experiments.grid import dataset_label
-
-    digest = hashlib.sha256(_canonical(dict(dataset_entry)).encode()).hexdigest()[:8]
-    return f"{dataset_label(dict(dataset_entry))}@{digest}"
 
 
 @dataclass(frozen=True)
@@ -85,8 +66,6 @@ class QueryRequest:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        from repro.experiments.grid import dataset_label
-
         if not isinstance(self.dataset, dict):
             raise ServeError(
                 f"dataset must be an object like {{'name': ...}}, got "

@@ -41,9 +41,10 @@ new one.
 when the solver loop owns the main thread); queries that already
 overstayed ``query_timeout_s`` waiting in the queue are answered 504
 without solving at all.  A timed-out or failed query's session is
-discarded, never reused (the quarantine rule).  A query whose
-marketplace cannot be built (``Dataset.build_instance`` refuses it)
-answers 400 before its session is touched, so the session stays warm.
+discarded, never reused (the quarantine rule).  A query whose dataset
+entry or marketplace cannot be built answers 400, with the
+:mod:`repro.errors` class name as its ``error_type``, before its
+session is touched, so a warm session stays warm.
 
 **Drain.**  ``SIGTERM``/``SIGINT`` (or :meth:`begin_drain`) flips the
 server to draining: new queries get 503, queued queries finish, then
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import faults as _faults
-from repro.errors import CellTimeoutError, InstanceError, ServeError
+from repro.errors import CellTimeoutError, ReproError, ServeError
 from repro.experiments.config import ExperimentConfig
 from repro.serve.pool import SessionPool
 from repro.serve.schema import QueryRequest, error_payload, result_payload
@@ -360,28 +361,22 @@ class ReproServer:
 
         remaining = None if timeout is None else max(timeout - waited, 1e-3)
         with self._pool_lock:
+            instance = None
             try:
                 entry, warm = self.pool.lease(request)
+                instance = entry.dataset.build_instance(
+                    incentive_model=request.incentive_model,
+                    alpha=request.alpha,
+                    h=request.h,
+                    budget_override=request.budget,
+                    cpe_override=request.cpe,
+                )
                 before = entry.session.stats
                 effective_seed = (
                     request.seed
                     if request.seed is not None
                     else self.config.config.seed
                 )
-                try:
-                    instance = entry.dataset.build_instance(
-                        incentive_model=request.incentive_model,
-                        alpha=request.alpha,
-                        h=request.h,
-                        budget_override=request.budget,
-                        cpe_override=request.cpe,
-                    )
-                except InstanceError as exc:
-                    # The query's marketplace cannot be built (say, no
-                    # incentive fits its budget).  Nothing touched the
-                    # session yet, so it stays pooled and warm.
-                    self.pool.release(key)
-                    raise ServeError(f"InstanceError: {exc}") from exc
                 with _cell_deadline(remaining):
                     result = run_algorithm(
                         request.algorithm,
@@ -398,18 +393,23 @@ class ReproServer:
                     self.counters["query_timeouts"] += 1
                 job.respond(504, error_payload("QueryTimeout", str(exc)))
                 return
-            except ServeError as exc:
-                with self._counter_lock:
-                    self.counters["solve_errors"] += 1
-                job.respond(400, error_payload("ServeError", str(exc)))
-                return
             except Exception as exc:
-                # Unknown failure mid-solve: quarantine the session (its
-                # warm state is suspect) and surface the class name.
-                self.pool.discard(key)
+                if isinstance(exc, ReproError) and instance is None:
+                    # Query input that cannot be built: a dataset entry
+                    # no builder takes (no session exists for it yet), or
+                    # a marketplace the dataset refuses, say one where no
+                    # incentive fits its budget.  The session is
+                    # untouched, so it stays pooled and warm.
+                    self.pool.release(key)
+                    status = 400
+                else:
+                    # Unknown failure mid-solve: quarantine the session
+                    # (its warm state is suspect).
+                    self.pool.discard(key)
+                    status = 500
                 with self._counter_lock:
                     self.counters["solve_errors"] += 1
-                job.respond(500, error_payload(type(exc).__name__, str(exc)))
+                job.respond(status, error_payload(type(exc).__name__, str(exc)))
                 return
             after = entry.session.stats
             evicted = self.pool.release(key)

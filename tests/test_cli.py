@@ -166,6 +166,35 @@ class TestGridCommand:
         assert open(manifest).read() == before  # resumed, nothing re-ran
 
 
+_RUN = ["run", "--dataset", "epinions_syn", "--n", "100"]
+
+
+class TestMalformedInput:
+    """A ``repro.errors`` failure prints one line and exits 2, the usage
+    error code, instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,error_type",
+        [
+            (_RUN + ["--h", "2", "--theta-cap", "-5"], "SpecError"),
+            (_RUN + ["--h", "2", "--eps", "0"], "SpecError"),
+            (_RUN + ["--h", "2", "--alpha", "-1"], "InstanceError"),
+            (_RUN + ["--h", "0"], "InstanceError"),
+            (["run", "--dataset", "epinions_syn", "--n", "0", "--h", "2"], "GraphError"),
+            (["grid", "--spec", "{missing}.json"], "SpecError"),
+            (["ingest", "{missing}.txt"], "GraphError"),
+        ],
+        ids=["theta-cap", "eps", "alpha", "h", "n", "grid-spec", "ingest-path"],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, error_type):
+        argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {error_type}: ")
+        assert err.count("\n") == 1
+
+
 class TestIngestCommand:
     def test_ingest_reports_stats(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

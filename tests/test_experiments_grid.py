@@ -460,6 +460,60 @@ class TestEdgeListCells:
         assert rows1[0]["dataset"] == "el"
 
 
+    def test_registered_edge_list_entry_takes_list_options(self, tmp_path):
+        """JSON arrays reach builder options such as ``cpe_choices``
+        whether the entry names a path or a registered dataset."""
+        from repro.experiments.datasets import (
+            register_edge_list_dataset,
+            unregister_dataset,
+        )
+        from repro.graph.generators import erdos_renyi
+        from repro.graph.io import save_edge_list
+
+        path = tmp_path / "el.txt"
+        save_edge_list(erdos_renyi(50, 0.08, seed=6), str(path))
+        register_edge_list_dataset("el_registered", str(path), h=2, seed=5)
+        try:
+            entries = [
+                {"name": "el_registered", "cpe_choices": [1.0, 2.0]},
+                {"path": str(path), "h": 2, "seed": 5, "cpe_choices": [1.0, 2.0]},
+            ]
+            spec = GridSpec.from_dict(
+                {"name": "el", "datasets": entries, "algorithms": ["TI-CARM"],
+                 "alphas": [0.5], "config": {"eps": 1.0, "theta_cap": 100}}
+            )
+            rows = run_grid(spec, str(tmp_path / "m.jsonl"))
+        finally:
+            unregister_dataset("el_registered")
+        assert [row["kind"] for row in rows] == ["cell", "cell"]
+
+
+#: Dataset entries no builder can turn into a dataset, with the typed
+#: error each one quarantines its cells with.
+UNBUILDABLE_ENTRIES = [
+    ({"name": "nope_syn"}, "InstanceError", "nope_syn"),
+    ({"path": "/nonexistent/edges.txt"}, "GraphError", "edges.txt"),
+    ({"name": "epinions_syn", "bogus_kw": 3}, "SpecError", "bogus_kw"),
+    ({"name": "epinions_syn", "n": 1}, "GraphError", "nodes"),
+    ({"name": "epinions_syn", "n": "abc"}, "SpecError", "abc"),
+]
+
+
+class TestUnbuildableEntries:
+    @pytest.mark.parametrize("entry,error_type,names", UNBUILDABLE_ENTRIES)
+    def test_cells_quarantine_with_a_typed_error(
+        self, tmp_path, entry, error_type, names
+    ):
+        spec = GridSpec.from_dict(
+            {**SMOKE, "datasets": [entry], "algorithms": ["TI-CARM"],
+             "alphas": [1.0]}
+        )
+        (row,) = run_grid(spec, str(tmp_path / "m.jsonl"))
+        assert row["kind"] == "cell_error"
+        assert row["error_type"] == error_type
+        assert names in row["error"]
+
+
 class TestGridCell:
     def test_params_include_all_axes(self):
         cell = GridCell(

@@ -1,7 +1,6 @@
 """Tests for the Table 1–3 builders (smoke scale)."""
 
 from repro.experiments.datasets import build_dataset
-from repro.experiments.memory import megabytes, memory_ratio, result_memory_mb
 from repro.experiments.tables import table1_rows, table2_rows, table3_rows
 
 
@@ -43,16 +42,3 @@ class TestTable3:
             assert row["h=1 (MB)"] > 0
             assert row["h=2 (MB)"] >= row["h=1 (MB)"]  # memory grows with h
 
-
-class TestMemoryHelpers:
-    def test_megabytes(self):
-        assert megabytes(2_000_000) == 2.0
-
-    def test_result_memory(self, quick_dataset, quick_config):
-        from repro.experiments.harness import run_algorithm
-
-        inst = quick_dataset.build_instance("linear", 1.0)
-        csrm = run_algorithm("TI-CSRM", quick_dataset, inst, quick_config)
-        carm = run_algorithm("TI-CARM", quick_dataset, inst, quick_config)
-        assert result_memory_mb(csrm) > 0
-        assert memory_ratio(csrm, carm) > 0

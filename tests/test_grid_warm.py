@@ -103,8 +103,8 @@ class TestExecutionSpec:
         spec_b = GridSpec.from_dict(
             {**SMOKE, "datasets": [{**SMOKE["datasets"][0], "n": 130}]}
         )
-        key_a = session_group_key(spec_a.cells()[0])
-        key_b = session_group_key(spec_b.cells()[0])
+        key_a = session_group_key(spec_a.cells()[0].dataset)
+        key_b = session_group_key(spec_b.cells()[0].dataset)
         assert key_a != key_b
         assert key_a.startswith("epinions_syn@")
 
@@ -116,7 +116,7 @@ class TestWarmProvenance:
         assert len(rows) == 4
         for cell, row in zip(spec.cells(), rows):
             session = row["session"]
-            assert session["group"] == session_group_key(cell)
+            assert session["group"] == session_group_key(cell.dataset)
             # Warm mode implies shared-store semantics; the engine-spec
             # echo records what actually ran.
             assert row["engine_spec"]["share_samples"] is True
@@ -201,7 +201,7 @@ class TestWarmProvenance:
         assert len(groups) == len(set(seen)) == 2
         # ...rows return in cells() order, each group numbered 0, 1, ...
         for cell, row in zip(spec.cells(), rows):
-            assert row["session"]["group"] == session_group_key(cell)
+            assert row["session"]["group"] == session_group_key(cell.dataset)
         assert [r["session"]["solve_index"] for r in rows] == [0, 1, 0, 1]
         # One session per group, all closed (eagerly, group by group).
         assert len(recorded_sessions) == 2

@@ -19,7 +19,6 @@ import dataclasses
 import json
 import threading
 import time
-import types
 from contextlib import contextmanager
 
 import pytest
@@ -44,6 +43,14 @@ from repro.serve import client as serve_client
 CFG = ExperimentConfig(eps=1.0, theta_cap=150, singleton_rr_samples=400, seed=7)
 ENTRY = {"name": "epinions_syn", "n": 80, "h": 2, "singleton_rr_samples": 400}
 OTHER_ENTRY = {"name": "flixster_syn", "n": 80, "h": 2, "singleton_rr_samples": 400}
+#: Dataset entries that pass the schema but that no builder accepts.
+UNBUILDABLE_ENTRIES = [
+    ({"name": "nope_syn"}, "InstanceError"),
+    ({"path": "/nonexistent/edges.txt"}, "GraphError"),
+    ({"name": "epinions_syn", "bogus_kw": 3}, "SpecError"),
+    ({"name": "epinions_syn", "n": 1}, "GraphError"),
+    ({"name": "epinions_syn", "n": "abc"}, "SpecError"),
+]
 
 
 @contextmanager
@@ -106,8 +113,8 @@ class TestSchema:
     def test_pool_key_matches_grid_session_grouping(self):
         """The serve pool key is the grid runner's session-group key:
         same dataset entry → same warm-sharing decision in both layers."""
-        cell = types.SimpleNamespace(dataset=dict(ENTRY))
-        assert pool_key(ENTRY) == session_group_key(cell)
+        assert pool_key is session_group_key
+        assert pool_key(ENTRY).startswith("epinions_syn@")
         assert pool_key(ENTRY) != pool_key({**ENTRY, "n": 81})
         assert pool_key(ENTRY) == pool_key(dict(ENTRY))  # content, not identity
 
@@ -525,10 +532,29 @@ class TestServeFaultTolerance:
             status, payload = server.submit(
                 {"dataset": {**ENTRY, "bogus_option": 1}}
             )
-            assert status == 500
+            assert status == 400
             assert payload["status"] == "error"
+            assert payload["error_type"] == "SpecError"
+            assert "bogus_option" in payload["error"]
             ok_status, _ = server.submit({"dataset": dict(ENTRY), "seed": 1})
             assert ok_status == 200  # the daemon survived the bad build
+
+    def test_unbuildable_dataset_entries_answer_400(self):
+        """A dataset entry no builder accepts is query input: it answers
+        400 with its typed error, and a warm key stays warm."""
+        with running_server() as server:
+            first_status, first = server.submit({"dataset": dict(ENTRY), "seed": 1})
+            assert first_status == 200
+            for entry, error_type in UNBUILDABLE_ENTRIES:
+                status, payload = server.submit({"dataset": entry, "seed": 1})
+                assert (status, payload["error_type"]) == (400, error_type), payload
+            again_status, again = server.submit({"dataset": dict(ENTRY), "seed": 1})
+            counters = dict(server.counters)
+        assert again_status == 200
+        assert again["serve"]["warm_session"] is True
+        assert again["serve"]["sets_sampled"] == 0
+        assert _comparable(again) == _comparable(first)
+        assert counters["solve_errors"] == len(UNBUILDABLE_ENTRIES)
 
 
 # ----------------------------------------------------------------------
