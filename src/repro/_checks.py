@@ -54,3 +54,10 @@ def check_int(value, name: str, *, error, minimum: int, optional=False):
     if int(value) < minimum:
         raise error(f"{name} must be >= {minimum}, got {int(value)}")
     return int(value)
+
+
+def check_choice(value, name: str, options: tuple, *, error):
+    """*value* if it is one of the string *options*; else *error* naming them."""
+    if not isinstance(value, str) or value not in options:
+        raise error(f"unknown {name} {value!r}; options: {options}")
+    return value

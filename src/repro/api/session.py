@@ -51,7 +51,7 @@ import time
 import numpy as np
 
 from repro import faults as _faults
-from repro.errors import AllocationError, WorkerCrashError
+from repro.errors import AllocationError
 from repro.api.spec import EngineSpec
 from repro.api.registry import AlgorithmDef
 from repro.core.allocation import AllocationResult
@@ -59,7 +59,7 @@ from repro.core.instance import RMInstance
 from repro.core.ti_engine import EngineWarmState
 from repro.graph.digraph import DiGraph
 from repro.graph.updates import UpdatePlan, compile_updates
-from repro.rrset.backend import SamplerBackend, SharedGraphPool, make_backend
+from repro.rrset.backend import SamplerBackend
 from repro.rrset.collection import SharedRRStore
 
 
@@ -219,23 +219,9 @@ class AllocationSession:
                 "session's"
             )
         warm = self._warm
-        workers = self.spec.workers
-
         # The old pool's shared-memory CSR blocks describe the old
-        # graph; nothing on the new graph can reuse them.
-        if warm.pool is not None:
-            warm.pool.close()
-            warm.pool = None
-        if (workers or 0) > 1 and warm.stores and not warm.pool_failed:
-            try:
-                warm.pool = SharedGraphPool(
-                    plan.new_graph,
-                    workers,
-                    counters=warm.counters,
-                )
-            except WorkerCrashError:
-                warm.pool_failed = True
-                warm.counters["pool_degraded"] += 1
+        # graph; the first sampler made below builds one on the new.
+        warm.close_pool()
 
         checked = 0
         invalidated = 0
@@ -250,12 +236,7 @@ class AllocationSession:
             checked += int(group.store.size)
             invalidated += int(invalid.size)
             group.sampler.close()
-            sampler = make_backend(
-                plan.new_graph, new_probs, workers=workers, pool=warm.pool,
-                counters=warm.counters, degraded=warm.pool_failed,
-            )
-            if warm.wrap_sampler is not None:
-                sampler = warm.wrap_sampler(sampler)
+            sampler = warm.make_sampler(plan.new_graph, new_probs, self.spec.workers)
             group.sampler = sampler
             # Cached KPT bounds and widths were measured on the old
             # graph; the next solve rebuilds them (same RNG stream).
@@ -428,15 +409,7 @@ class AllocationSession:
         if self._closed:
             return
         self._closed = True
-        for group in self._warm.stores.values():
-            group.sampler.close()
-            if group.store is not None:
-                group.store.close()  # drops memmap spill files, if any
-        if self._warm.pool is not None:
-            self._warm.pool.close()
-            self._warm.pool = None
-        self._warm.stores.clear()
-        self._warm.pagerank_orders.clear()
+        self._warm.close()
 
     def __enter__(self) -> "AllocationSession":
         return self

@@ -23,9 +23,9 @@ from repro._rng import as_generator
 from repro.diffusion.montecarlo import estimate_spread
 from repro.diffusion.worlds import exact_spread
 from repro.errors import EstimationError
-from repro.rrset.backend import SharedGraphPool, make_backend
 from repro.rrset.collection import build_inverted_index
 from repro.core.instance import RMInstance
+from repro.core.ti_engine import EngineWarmState
 
 
 class SpreadOracle(ABC):
@@ -131,8 +131,9 @@ class RRStaticOracle(SpreadOracle):
         """*workers* selects the sampling backend (see
         :func:`repro.rrset.backend.make_backend`); the default is
         bit-identical to the pre-seam oracle.  With ``workers >= 2`` all
-        ads draw through one worker pool, torn down before the
-        constructor returns."""
+        ads draw through one worker pool (the engine's pool rule,
+        :meth:`~repro.core.ti_engine.EngineWarmState.make_sampler`),
+        torn down before the constructor returns."""
         super().__init__(instance)
         if n_samples < 1:
             raise EstimationError(f"n_samples must be positive, got {n_samples}")
@@ -142,11 +143,11 @@ class RRStaticOracle(SpreadOracle):
         # sampler's flat batch output.
         self._memberships: list[tuple[np.ndarray, np.ndarray]] = []
         n = instance.graph.n
-        pool = SharedGraphPool(instance.graph, workers) if (workers or 0) > 1 else None
+        warm = EngineWarmState()
         try:
             for i in range(instance.h):
-                sampler = make_backend(
-                    instance.graph, instance.ad_probs[i], workers=workers, pool=pool
+                sampler = warm.make_sampler(
+                    instance.graph, instance.ad_probs[i], workers
                 )
                 members, indptr = sampler.sample_batch_flat(n_samples, rng)
                 sids = np.repeat(
@@ -154,8 +155,7 @@ class RRStaticOracle(SpreadOracle):
                 )
                 self._memberships.append(build_inverted_index(members, sids, n))
         finally:
-            if pool is not None:
-                pool.close()
+            warm.close()
 
     def _spread_uncached(self, ad: int, seeds: frozenset) -> float:
         inv_indptr, inv_sets = self._memberships[ad]

@@ -41,7 +41,8 @@ Documented deviations from the pseudocode (docs/ARCHITECTURE.md §6):
   private residual state — storage drops from ``O(h·θ·|R|)`` to
   ``O(θ·|R| + h·(θ + n))`` in fully competitive marketplaces, with
   the same estimator semantics (the shared sets are i.i.d. from each
-  sharing ad's RR distribution).
+  sharing ad's RR distribution).  Without it every ad samples into a
+  store of its own; the knob only picks the store key.
 
 Performance notes (flat data plane + lazy candidates):
 
@@ -50,11 +51,11 @@ Performance notes (flat data plane + lazy candidates):
   ``workers`` alone selects (docs/ARCHITECTURE.md §3).  ``None``, 0 or
   1 is serial: it delegates to :meth:`RRSampler.sample_batch_flat` and
   is bit-identical to the pre-seam engine.  ``k >= 2`` fans each batch
-  over a ``k``-worker shared-memory pool owned by the run (one pool
-  serves all ads); it is deterministic for a fixed ``(seed, workers)``
-  pair but draws a different — equally valid — sample than serial.  Sets are
-  stored in flat CSR collections; all coverage maintenance is
-  vectorized.
+  over a ``k``-worker shared-memory pool owned by the run's
+  :class:`EngineWarmState` (one pool serves all ads); it is
+  deterministic for a fixed ``(seed, workers)`` pair but draws a
+  different — equally valid — sample than serial.  Sets are stored in
+  flat CSR stores; all coverage maintenance is vectorized.
   **RNG stream:** each batch draws all its roots in one vectorized
   ``rng.integers`` call before any arc coin is flipped, whereas the
   legacy sampler interleaved one root draw with each set's coin flips.
@@ -65,14 +66,14 @@ Performance notes (flat data plane + lazy candidates):
   unaffected.
 * ``candidate_rule`` and ``selector`` also accept *callables* (see
   :mod:`repro.api.registry` for the signatures), which is how
-  registry-defined algorithm variants plug in without subclassing; an
-  optional :class:`EngineWarmState` (normally owned by an
-  :class:`~repro.api.session.AllocationSession`) carries prob-keyed RR
-  stores, pagerank orders and the worker pool *across* runs, so a warm
-  re-solve over the same graph and probabilities adopts already-drawn
-  RR sets instead of resampling (valid because the RR distribution
-  depends only on (graph, probs)); warm mode implies the shared-store
-  (``share_samples``) storage semantics.
+  registry-defined algorithm variants plug in without subclassing.
+  Every run samples through an :class:`EngineWarmState`; the one an
+  :class:`~repro.api.session.AllocationSession` owns carries prob-keyed
+  RR stores, pagerank orders and the worker pool *across* runs, so a
+  warm re-solve over the same graph and probabilities adopts
+  already-drawn RR sets instead of resampling (valid because the RR
+  distribution depends only on (graph, probs)); warm mode implies the
+  shared-store (``share_samples``) storage semantics.
 * The greedy loop caches each ad's candidate ``(node, marg_rev)``
   between rounds (CELF-style laziness).  When ad ``a`` wins node ``v``,
   only ``a`` (its residual counts and possibly ``θ_a`` changed) and ads
@@ -105,7 +106,7 @@ from repro.rrset.backend import (
     make_backend,
     new_fault_counters,
 )
-from repro.rrset.collection import RRCollection, SharedRRCollection, SharedRRStore
+from repro.rrset.collection import SharedRRCollection, SharedRRStore
 from repro.rrset.tim import KPTEstimator, sample_size
 from repro.core.allocation import Allocation, AllocationResult
 from repro.core.instance import RMInstance
@@ -147,7 +148,7 @@ def validate_rules(candidate_rule, selector) -> None:
 
 
 class _WarmGroup:
-    """Cross-run sampling state for one distinct probability vector.
+    """Sampling state for one store key (see :meth:`TIEngine._group_key`).
 
     ``kpt_params`` records the ``(ell, kpt_max_samples)`` the cached KPT
     estimator was built with; a later solve changing either gets a fresh
@@ -166,43 +167,49 @@ class _WarmGroup:
 
 
 class EngineWarmState:
-    """Caches an :class:`~repro.api.session.AllocationSession` keeps warm
-    across engine runs over one (graph, ad-prob family).
+    """The sampling state of engine runs: RR stores, samplers and the pool.
 
-    * ``stores`` — prob-content key → :class:`_WarmGroup` (sampler
-      backend, :class:`SharedRRStore`, RNG stream, KPT estimator).  RR
-      sets depend only on (graph, probs), so stored sets stay valid when
-      budgets / CPEs / incentives change between solves; a warm run
-      adopts the stored prefix and samples only past the store's end,
-      continuing the group's persisted RNG stream.
+    Every :class:`TIEngine` run samples through one.  A cold run gets a
+    private state that :meth:`TIEngine.run` closes; an
+    :class:`~repro.api.session.AllocationSession` keeps one across its
+    runs over one (graph, ad-prob family).
+
+    * ``stores`` — group key → :class:`_WarmGroup` (sampler backend,
+      :class:`SharedRRStore`, RNG stream, KPT estimator).  The engine
+      picks the key (:meth:`TIEngine._group_key`): the probability
+      vector's bytes when ads share samples, the ad index otherwise.
+      RR sets depend only on (graph, probs), so stored sets stay valid
+      when budgets / CPEs / incentives change between solves; a warm
+      run adopts the stored prefix and samples only past the store's
+      end, continuing the group's persisted RNG stream.
     * ``pagerank_orders`` — prob-content key → node ordering, so the
-      PageRank baselines rank once per probability vector, not per run.
+      PageRank baselines rank once per probability vector.
     * ``pool`` — one :class:`SharedGraphPool` serving every parallel
-      solve of the session; the engine never closes it (the session
-      owns its lifecycle).
+      sampler made by :meth:`make_sampler`; :meth:`close` (or
+      :meth:`close_pool`, when the graph changes) tears it down.
     * ``wrap_sampler`` — optional hook applied to each newly created
       sampler backend (sessions install a counting proxy here so reuse
       is observable).
     * ``counters`` — cumulative reuse observability: each engine run
-      counts, once per *distinct* probability vector it touches, a
-      ``store_hits`` (the warm state already held that vector's store)
-      or a ``store_misses`` (a new store was created).  Sessions expose
-      these through :attr:`~repro.api.session.AllocationSession.stats`,
-      and the grid runner's warm mode records per-cell deltas in its
-      manifest rows — so RR reuse is auditable provenance, not silent
-      behavior.  The same dict carries the fault-tolerance counters
+      counts, once per store key it touches, a ``store_hits`` (the
+      state already held that store) or a ``store_misses`` (a new store
+      was created).  Sessions expose these through
+      :attr:`~repro.api.session.AllocationSession.stats`, and the grid
+      runner's warm mode records per-cell deltas in its manifest rows —
+      so RR reuse is auditable provenance, not silent behavior.  The
+      same dict carries the fault-tolerance counters
       (``worker_respawns`` / ``shards_recovered`` / ``pool_degraded``,
-      docs/ARCHITECTURE.md §11): it is handed to the session's
-      :class:`SharedGraphPool` and backends, which increment it in
-      place as they recover from or degrade around worker failures.
-    * ``pool_failed`` — set once pool infrastructure for this warm
-      state proved unusable (creation failed or the pool declared
-      itself unrecoverable); later solves go straight to degraded
-      in-process sampling instead of re-attempting a doomed pool.
+      docs/ARCHITECTURE.md §11): it is handed to the pool and backends,
+      which increment it in place as they recover from or degrade
+      around worker failures.
+    * ``pool_failed`` — set once pool infrastructure for this state
+      proved unusable (creation failed or the pool declared itself
+      unrecoverable); later samplers go straight to degraded in-process
+      sampling instead of re-attempting a doomed pool.
     """
 
     def __init__(self) -> None:
-        self.stores: dict[bytes, _WarmGroup] = {}
+        self.stores: dict[bytes | int, _WarmGroup] = {}
         self.pagerank_orders: dict[bytes, np.ndarray] = {}
         self.pool: SharedGraphPool | None = None
         self.pool_failed = False
@@ -210,14 +217,70 @@ class EngineWarmState:
         self.counters = {"store_hits": 0, "store_misses": 0}
         self.counters.update(new_fault_counters())
 
+    def make_sampler(self, graph, probs, workers: int | None) -> SamplerBackend:
+        """A sampler backend over (*graph*, *probs*): the one pool rule.
+
+        ``workers >= 2`` samples through this state's shared pool, built
+        on first use.  A pool that cannot be built, or that failed
+        since, marks the state degraded: every later backend samples
+        in-process without re-attempting the broken infrastructure, and
+        ``pool_degraded`` records the event.  The backend passes through
+        :attr:`wrap_sampler`.
+        """
+        pool, degraded = None, False
+        if (workers or 0) > 1:
+            if self.pool is not None and self.pool.failed:
+                self.pool, self.pool_failed = None, True
+            if self.pool is None and not self.pool_failed:
+                try:
+                    self.pool = SharedGraphPool(
+                        graph, workers, counters=self.counters
+                    )
+                except WorkerCrashError:
+                    self.pool_failed = True
+                    self.counters["pool_degraded"] += 1
+            pool, degraded = self.pool, self.pool_failed
+        sampler = make_backend(
+            graph, probs, workers=workers, pool=pool,
+            counters=self.counters, degraded=degraded,
+        )
+        if self.wrap_sampler is not None:
+            sampler = self.wrap_sampler(sampler)
+        return sampler
+
+    def pagerank_order(self, graph, probs: np.ndarray) -> np.ndarray:
+        """*graph*'s PageRank ranking under *probs*, computed once per vector."""
+        key = probs.tobytes()
+        order = self.pagerank_orders.get(key)
+        if order is None:
+            order = pagerank_order(graph, weights=probs)
+            self.pagerank_orders[key] = order
+        return order
+
+    def close_pool(self) -> None:
+        """Shut the worker pool down; the next parallel sampler builds one."""
+        if self.pool is not None:
+            self.pool.close()
+            self.pool = None
+
+    def close(self) -> None:
+        """Close every sampler, store and the pool, and drop the caches.
+
+        Idempotent.  Closing a store unlinks its spill file, if any.
+        """
+        for group in self.stores.values():
+            group.sampler.close()
+            group.store.close()
+        self.close_pool()
+        self.stores.clear()
+        self.pagerank_orders.clear()
+
 
 class _AdState:
     """Per-advertiser mutable state of one engine run."""
 
     __slots__ = (
-        "sampler",
-        "rng",
-        "kpt",
+        "group",
         "collection",
         "store",
         "s_est",
@@ -233,10 +296,8 @@ class _AdState:
     )
 
     def __init__(self) -> None:
-        self.sampler: SamplerBackend | None = None
-        self.rng = None
-        self.kpt: KPTEstimator | None = None
-        self.collection = None  # RRCollection or SharedRRCollection
+        self.group: _WarmGroup | None = None
+        self.collection: SharedRRCollection | None = None
         self.store: SharedRRStore | None = None
         self.s_est = 1
         self.theta = 0
@@ -283,25 +344,20 @@ class TIEngine:
         self.spec = spec
         self.candidate_rule = candidate_rule
         self.selector = selector
-        # Warm mode (a session's EngineWarmState) always stores sets in
-        # prob-keyed shared stores — that is what makes them reusable by
+        # Every run samples through an EngineWarmState: a session's, or
+        # a private one that run() closes.  A session's stores are keyed
+        # by probability content — that is what makes them reusable by
         # the next solve — so it implies share_samples semantics.
-        self._warm = warm
+        self._owns_warm = warm is None
+        self._warm = EngineWarmState() if warm is None else warm
         self.share_samples = bool(spec.share_samples) or warm is not None
         # Laziness is exact except under the windowed CS rule (see module
         # docstring) and is unproven for arbitrary callable rules, so both
         # disable it; the parity tests set it False to run the eager rescan.
         self.lazy_candidates = spec.window is None and isinstance(candidate_rule, str)
-        # workers >= 2 fans batches over one SharedGraphPool shared by
-        # every ad of this run; fewer is the serial sampler.
+        # workers >= 2 fans batches over the warm state's one
+        # SharedGraphPool; fewer is the serial sampler.
         self.workers = spec.workers if (spec.workers or 0) > 1 else None
-        self._pool: SharedGraphPool | None = None
-        self._pool_failed = False
-        # Recovery/degradation provenance: shared with the session's
-        # warm counters when warm, private to this run otherwise.
-        self._fault_counters = (
-            warm.counters if warm is not None else new_fault_counters()
-        )
         self.blocked = None if blocked is None else np.asarray(blocked, dtype=bool)
         self.rng = as_generator(spec.seed)
         rule_name = getattr(candidate_rule, "__name__", candidate_rule)
@@ -344,11 +400,11 @@ class TIEngine:
         if spec.opt_lower == "kpt":
             if s > 1 and spec.theta_cap is not None:
                 theta = sample_size(
-                    n, s, spec.eps, spec.ell, state.kpt.ceiling, spec.theta_cap
+                    n, s, spec.eps, spec.ell, state.group.kpt.ceiling, spec.theta_cap
                 )
                 if theta == spec.theta_cap:
                     return theta
-            opt_lower = state.kpt.estimate(s)
+            opt_lower = state.group.kpt.estimate(s)
         elif isinstance(spec.opt_lower, tuple):
             opt_lower = spec.opt_lower[ad]
         else:
@@ -365,66 +421,18 @@ class TIEngine:
             max_samples=self.spec.kpt_max_samples,
         )
 
-    def _prob_group_key(self, ad: int) -> bytes:
-        """Ads share a store iff their probability vectors are identical.
+    def _group_key(self, ad: int) -> bytes | int:
+        """The key of the store *ad* samples into.
 
-        Keyed on the raw probability bytes — hashing them would let a
-        hash collision silently share a store between ads with different
-        probability vectors.  Used by the shared-store path and the
-        warm-state caches (RR stores, pagerank orders).
+        With shared samples, ads share a store iff their probability
+        vectors are identical: the key is the raw probability bytes —
+        hashing them would let a hash collision silently share a store
+        between ads with different probability vectors.  Otherwise every
+        ad keys its own store by its index.
         """
-        return self.instance.ad_probs[ad].tobytes()
-
-    def _make_sampler(self, ad: int) -> SamplerBackend:
-        """One backend per ad, all sharing this run's worker pool.
-
-        In warm mode the pool lives on the session's
-        :class:`EngineWarmState` (created on first parallel use, never
-        closed by the engine) and new backends pass through the state's
-        ``wrap_sampler`` hook.
-        """
-        inst = self.instance
-        pool, degraded = None, False
-        if self.workers is not None:
-            pool, degraded = self._acquire_pool()
-        sampler = make_backend(
-            inst.graph, inst.ad_probs[ad], workers=self.workers, pool=pool,
-            counters=self._fault_counters, degraded=degraded,
-        )
-        if self._warm is not None and self._warm.wrap_sampler is not None:
-            sampler = self._warm.wrap_sampler(sampler)
-        return sampler
-
-    def _acquire_pool(self) -> tuple[SharedGraphPool | None, bool]:
-        """The run's shared pool, or ``(None, True)`` once degraded.
-
-        The pool lives on the session's warm state in warm mode (the
-        session closes it) or on the engine otherwise (``run`` closes
-        it).  A pool that cannot be built — or that failed mid-run —
-        marks the holder degraded, so every later backend of this run
-        (or session) samples in-process without re-attempting the
-        broken infrastructure, and ``pool_degraded`` records the event.
-        """
-        warm = self._warm
-        pool = warm.pool if warm is not None else self._pool
-        failed = warm.pool_failed if warm is not None else self._pool_failed
-        if pool is not None and pool.failed:
-            pool, failed = None, True
-        if pool is None and not failed:
-            try:
-                pool = SharedGraphPool(
-                    self.instance.graph,
-                    self.workers,
-                    counters=self._fault_counters,
-                )
-            except WorkerCrashError:
-                failed = True
-                self._fault_counters["pool_degraded"] += 1
-        if warm is not None:
-            warm.pool, warm.pool_failed = pool, failed
-        else:
-            self._pool, self._pool_failed = pool, failed
-        return pool, failed
+        if self.share_samples:
+            return self.instance.ad_probs[ad].tobytes()
+        return ad
 
     def _init_states(self) -> None:
         inst = self.instance
@@ -440,86 +448,67 @@ class TIEngine:
         )
         rngs = spawn(self.rng, h)
         self._states = []
-        # Shared-sampling groups: probability-identical ads share one
-        # sampler, RNG stream, KPT estimator and RR store.  In warm mode
-        # the group dict is the session's persistent cache, so groups
-        # created by an earlier solve — including their already-sampled
-        # stores — are found and reused here.
-        groups = self._warm.stores if self._warm is not None else {}
+        # Ads with one group key share one sampler, RNG stream, KPT
+        # estimator and RR store.  A session's warm state keeps its
+        # groups across runs, so groups created by an earlier solve —
+        # including their already-sampled stores — are found and reused.
+        warm = self._warm
         uses_kpt = self.spec.opt_lower == "kpt"
         kpt_params = (self.spec.ell, self.spec.kpt_max_samples)
-        counted: set[bytes] = set()
+        counted: set[bytes | int] = set()
         for ad in range(h):
             state = _AdState()
-            state.rng = rngs[ad]
-            if self.share_samples:
-                key = self._prob_group_key(ad)
-                group = groups.get(key)
-                if self._warm is not None and key not in counted:
-                    # Reuse observability: one hit/miss per distinct
-                    # probability vector per run, not per ad sharing it.
-                    counted.add(key)
-                    self._warm.counters[
-                        "store_hits" if group is not None else "store_misses"
-                    ] += 1
-                if group is None:
-                    sampler = self._make_sampler(ad)
-                    kpt = self._new_kpt(sampler, state.rng) if uses_kpt else None
-                    group = _WarmGroup(
-                        sampler,
-                        SharedRRStore(n, bytes_budget=self.spec.rr_bytes_budget),
-                        state.rng,
-                        kpt,
-                        kpt_params if kpt is not None else None,
-                    )
-                    groups[key] = group
-                elif uses_kpt and (
-                    group.kpt is None or group.kpt_params != kpt_params
-                ):
-                    # Either the session's earlier solves priced OPT_s
-                    # differently, or they ran KPT under different
-                    # accuracy parameters — the cached bounds would be
-                    # wrong for this solve, so rebuild (same sampler and
-                    # RNG stream; identical re-solves still hit the cache).
-                    group.kpt = self._new_kpt(group.sampler, group.rng)
-                    group.kpt_params = kpt_params
-                state.sampler = group.sampler
-                state.store = group.store
-                state.rng = group.rng
-                state.kpt = group.kpt
-                state.collection = SharedRRCollection(group.store)
-            else:
-                state.sampler = self._make_sampler(ad)
-                if uses_kpt:
-                    state.kpt = self._new_kpt(state.sampler, state.rng)
-                state.collection = RRCollection(n)
+            key = self._group_key(ad)
+            group = warm.stores.get(key)
+            if key not in counted:
+                # Reuse observability: one hit/miss per store key per
+                # run, not per ad sharing it.
+                counted.add(key)
+                hit = "store_hits" if group is not None else "store_misses"
+                warm.counters[hit] += 1
+            if group is None:
+                sampler = warm.make_sampler(inst.graph, inst.ad_probs[ad], self.workers)
+                kpt = self._new_kpt(sampler, rngs[ad]) if uses_kpt else None
+                group = _WarmGroup(
+                    sampler,
+                    SharedRRStore(n, bytes_budget=self.spec.rr_bytes_budget),
+                    rngs[ad],
+                    kpt,
+                    kpt_params if kpt is not None else None,
+                )
+                warm.stores[key] = group
+            elif uses_kpt and (
+                group.kpt is None or group.kpt_params != kpt_params
+            ):
+                # Either the session's earlier solves priced OPT_s
+                # differently, or they ran KPT under different
+                # accuracy parameters — the cached bounds would be
+                # wrong for this solve, so rebuild (same sampler and
+                # RNG stream; identical re-solves still hit the cache).
+                group.kpt = self._new_kpt(group.sampler, group.rng)
+                group.kpt_params = kpt_params
+            state.group = group
+            state.store = group.store
+            state.collection = SharedRRCollection(group.store)
             state.s_est = 1
             state.theta = self._theta_for(state, ad, 1)
-            if self.share_samples:
-                if state.store.size < state.theta:
-                    state.store.extend_flat(
-                        *state.sampler.sample_batch_flat(
-                            state.theta - state.store.size, state.rng
-                        )
-                    )
-                state.collection.adopt(state.theta)
-            else:
-                state.collection.add_sets_flat(
-                    *state.sampler.sample_batch_flat(state.theta, state.rng)
-                )
+            self._adopt(state, state.theta)
             if self.candidate_rule == "pagerank":
-                if self._warm is not None:
-                    key = self._prob_group_key(ad)
-                    order = self._warm.pagerank_orders.get(key)
-                    if order is None:
-                        order = pagerank_order(inst.graph, weights=inst.ad_probs[ad])
-                        self._warm.pagerank_orders[key] = order
-                    state.pr_order = order
-                else:
-                    state.pr_order = pagerank_order(
-                        inst.graph, weights=inst.ad_probs[ad]
-                    )
+                state.pr_order = warm.pagerank_order(inst.graph, inst.ad_probs[ad])
             self._states.append(state)
+
+    def _adopt(self, state: _AdState, theta: int) -> None:
+        """Grow the ad's view to *theta* sets, sampling only past the store's end.
+
+        New sets hit by the ad's seeds are absorbed straight into its
+        covered count (``UpdateEstimates``, Algorithm 3).
+        """
+        store, group = state.store, state.group
+        if store.size < theta:
+            store.extend_flat(
+                *group.sampler.sample_batch_flat(theta - store.size, group.rng)
+            )
+        state.collection.adopt(theta, seeds=state.seeds)
 
     # ------------------------------------------------------------------
     # Candidate rules (line 7 / Algorithms 4 and 5 / PageRank ordering)
@@ -609,23 +598,7 @@ class TIEngine:
         state.s_est = s_new
         theta_new = self._theta_for(state, ad, s_new)
         if theta_new > state.theta:
-            # UpdateEstimates: new sets hit by existing seeds are absorbed
-            # straight into the covered count.
-            if self.share_samples:
-                if state.store.size < theta_new:
-                    state.store.extend_flat(
-                        *state.sampler.sample_batch_flat(
-                            theta_new - state.store.size, state.rng
-                        )
-                    )
-                state.collection.adopt(theta_new, seeds=state.seeds)
-            else:
-                state.collection.add_sets_flat(
-                    *state.sampler.sample_batch_flat(
-                        theta_new - state.theta, state.rng
-                    ),
-                    seeds=state.seeds,
-                )
+            self._adopt(state, theta_new)
             state.theta = theta_new
 
     # ------------------------------------------------------------------
@@ -634,25 +607,21 @@ class TIEngine:
     def run(self) -> AllocationResult:
         """Execute the configured algorithm; returns the allocation result.
 
-        When the parallel sampler backend is active the run owns one
-        :class:`SharedGraphPool` (workers + shared-memory CSR blocks);
-        it is torn down before this method returns, success or not —
-        unless the engine runs against an :class:`EngineWarmState`, in
-        which case the pool belongs to the session and survives for the
-        next solve.
+        A cold run's private :class:`EngineWarmState` — its samplers,
+        stores and worker pool — is closed before this method returns,
+        success or not.  A session's warm state survives for the next
+        solve; the session closes it.
         """
         try:
             return self._run()
         finally:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
+            if self._owns_warm:
+                self._warm.close()
 
     def _run(self) -> AllocationResult:
         start = time.perf_counter()
-        fault_before = {
-            key: self._fault_counters.get(key, 0) for key in FAULT_COUNTER_KEYS
-        }
+        counters = self._warm.counters
+        fault_before = {key: counters.get(key, 0) for key in FAULT_COUNTER_KEYS}
         inst = self.instance
         h = inst.h
         self._init_states()
@@ -711,34 +680,18 @@ class TIEngine:
             self._revenue(ad) if self._states[ad].seeds else 0.0 for ad in range(h)
         ]
         seed_cost = [self._states[ad].seed_cost for ad in range(h)]
-        if self.share_samples:
-            stores = list(
-                {id(s.store): s.store for s in self._states if s.store}.values()
-            )
-            memory = sum(store.memory_bytes() for store in stores)
-            memory += sum(s.collection.memory_bytes() for s in self._states)
-            store_bytes = sum(
-                st.member_bytes + int(st.indptr.nbytes) for st in stores
-            )
-            peak_store_bytes = sum(st.peak_bytes for st in stores)
-            total_sets = sum(st.size for st in stores)
-            spilled_stores = sum(1 for st in stores if st.spilled)
-        else:
-            cols = [self._states[ad].collection for ad in range(h)]
-            memory = sum(c.memory_bytes() for c in cols)
-            store_bytes = sum(
-                int(c.members.nbytes) + int(c.indptr.nbytes) for c in cols
-            )
-            peak_store_bytes = store_bytes
-            total_sets = sum(c.theta for c in cols)
-            spilled_stores = 0
+        stores = list({id(s.store): s.store for s in self._states}.values())
+        memory = sum(store.memory_bytes() for store in stores)
+        memory += sum(s.collection.memory_bytes() for s in self._states)
+        store_bytes = sum(st.member_bytes + int(st.indptr.nbytes) for st in stores)
+        total_sets = sum(st.size for st in stores)
         memory_block = {
             "store_bytes": store_bytes,
-            "peak_store_bytes": peak_store_bytes,
+            "peak_store_bytes": sum(st.peak_bytes for st in stores),
             "bytes_per_rr_set": (
                 store_bytes / total_sets if total_sets else 0.0
             ),
-            "spilled_stores": spilled_stores,
+            "spilled_stores": sum(1 for st in stores if st.spilled),
             "rr_bytes_budget": self.spec.rr_bytes_budget,
         }
         return AllocationResult(
@@ -768,12 +721,11 @@ class TIEngine:
                 # Recovery/degradation this run actually saw (deltas, so
                 # warm sessions don't bleed earlier solves' events in).
                 "fault_counters": {
-                    key: self._fault_counters.get(key, 0) - fault_before[key]
+                    key: counters.get(key, 0) - fault_before[key]
                     for key in FAULT_COUNTER_KEYS
                 },
                 "degraded": (
-                    self._fault_counters.get("pool_degraded", 0)
-                    - fault_before["pool_degraded"]
+                    counters.get("pool_degraded", 0) - fault_before["pool_degraded"]
                 )
                 > 0,
             },

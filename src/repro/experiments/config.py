@@ -16,6 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro._checks import check_choice
+from repro.errors import SpecError
+
+OPT_LOWER_MODES = ("singleton", "kpt")
+GRID_MODES = ("paper", "quick")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -51,6 +57,13 @@ class ExperimentConfig:
     # stores probability-identical ads' RR sets once.  It compiles into
     # the EngineSpec, so grid specs can pin it.
     share_samples: bool = False
+
+    def __post_init__(self) -> None:
+        """Refuse unknown experiment modes at construction."""
+        check_choice(
+            self.opt_lower_mode, "opt_lower_mode", OPT_LOWER_MODES, error=SpecError
+        )
+        check_choice(self.grid_mode, "grid_mode", GRID_MODES, error=SpecError)
 
     def quick(self) -> "ExperimentConfig":
         """A cheaper copy for smoke tests."""

@@ -143,6 +143,12 @@ def _payment_scaled_budgets(
     ]
 
 
+def _check_ad_count(h) -> None:
+    """Refuse a marketplace without advertisers before building anything."""
+    if h < 1:
+        raise InstanceError(f"h must be >= 1, got {h}")
+
+
 def build_flixster_syn(
     n: int = 2_000,
     h: int = 10,
@@ -155,6 +161,7 @@ def build_flixster_syn(
     Ads come in pure-competition pairs (h=10 from 5 distributions, each
     0.91 on one topic and 0.01 on the rest) exactly as in Section 5.
     """
+    _check_ad_count(h)
     rng = as_generator(seed)
     graph = powerlaw_configuration(n, mean_degree=8.0, exponent=2.1, seed=rng)
     tic = random_tic_model(
@@ -200,6 +207,7 @@ def build_epinions_syn(
 
     All ads share the WC probabilities, i.e. full pure competition.
     """
+    _check_ad_count(h)
     rng = as_generator(seed)
     graph = powerlaw_configuration(n, mean_degree=6.7, exponent=2.2, seed=rng)
     probs = weighted_cascade_capped(graph, cap=0.2)
@@ -227,6 +235,7 @@ def build_epinions_syn(
 def build_dblp_syn(n: int = 6_000, h: int = 20, seed: int = 303) -> Dataset:
     """DBLP analog: bidirected preferential attachment + WC; degree-proxy
     spreads (the paper's choice for the scalability datasets)."""
+    _check_ad_count(h)
     rng = as_generator(seed)
     graph = preferential_attachment(n, m_per_node=3, seed=rng).to_bidirected()
     probs = weighted_cascade_capped(graph, cap=0.3)
@@ -251,6 +260,7 @@ def build_dblp_syn(n: int = 6_000, h: int = 20, seed: int = 303) -> Dataset:
 
 def build_livejournal_syn(scale: int = 13, h: int = 20, seed: int = 404) -> Dataset:
     """LIVEJOURNAL analog: R-MAT digraph + WC; degree-proxy spreads."""
+    _check_ad_count(h)
     rng = as_generator(seed)
     graph = kronecker_like(scale, edge_factor=7, seed=rng)
     probs = weighted_cascade_capped(graph, cap=0.3)
@@ -317,6 +327,7 @@ def build_edge_list_dataset(
     """
     from repro.graph.io import ingest_cached, ingest_edge_list
 
+    _check_ad_count(h)
     if prob_model not in PROB_MODELS:
         raise InstanceError(
             f"unknown prob_model {prob_model!r}; options: {sorted(PROB_MODELS)}"

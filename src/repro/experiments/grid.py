@@ -83,7 +83,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from repro import faults as _faults
-from repro._checks import check_int, check_number
+from repro._checks import check_choice, check_int, check_number
 from repro.errors import CellTimeoutError, SpecError
 from repro.api.registry import algorithm_names
 from repro.api.session import AllocationSession, apply_edge_batch
@@ -220,11 +220,10 @@ class GridSpec:
         unknown = set(self.execution) - {"mode", *EXECUTION_FAULT_KEYS}
         if unknown:
             raise SpecError(f"unknown execution keys: {sorted(unknown)}")
-        mode = self.execution.get("mode", "cold")
-        if mode not in EXECUTION_MODES:
-            raise SpecError(
-                f"unknown execution mode {mode!r}; options: {EXECUTION_MODES}"
-            )
+        mode = check_choice(
+            self.execution.get("mode", "cold"), "execution mode", EXECUTION_MODES,
+            error=SpecError,
+        )
         normalized = {"mode": mode}
         timeout = self.execution.get("cell_timeout_s")
         if timeout is not None:
@@ -940,10 +939,7 @@ def run_grid(
     """
     manifest_path = manifest_path or default_manifest_path(spec)
     mode = spec.execution_mode if execution is None else str(execution)
-    if mode not in EXECUTION_MODES:
-        raise SpecError(
-            f"unknown execution mode {mode!r}; options: {EXECUTION_MODES}"
-        )
+    check_choice(mode, "execution mode", EXECUTION_MODES, error=SpecError)
     if cell_timeout is None:
         cell_timeout = spec.cell_timeout_s
     if max_retries is None:

@@ -32,9 +32,7 @@ def opt_lower_for(dataset: Dataset, instance: RMInstance, config: ExperimentConf
     """The ``opt_lower`` *config* asks for: singleton bounds or ``"kpt"``."""
     if config.opt_lower_mode == "singleton":
         return dataset.opt_lower_bounds(instance.h)
-    if config.opt_lower_mode == "kpt":
-        return "kpt"
-    raise InstanceError(f"unknown opt_lower_mode {config.opt_lower_mode!r}")
+    return "kpt"
 
 
 def run_algorithm(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InstanceError
+from repro.experiments import datasets as datasets_module
 from repro.experiments.datasets import (
     DATASET_BUILDERS,
     PROB_MODELS,
@@ -41,6 +42,23 @@ class TestRegistry:
         clear_dataset_cache()
         b = build_dataset("flixster_syn", n=300, h=2, singleton_rr_samples=500)
         assert a is not b
+
+    @pytest.mark.parametrize("h", [0, -1])
+    @pytest.mark.parametrize(
+        "name", ["flixster_syn", "epinions_syn", "dblp_syn", "livejournal_syn"]
+    )
+    def test_no_advertisers_rejected_before_building(self, monkeypatch, name, h):
+        """``h < 1`` fails naming the value given, before any graph is built."""
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("graph generated for a marketplace without ads")
+
+        for generator in (
+            "powerlaw_configuration", "preferential_attachment", "kronecker_like"
+        ):
+            monkeypatch.setattr(datasets_module, generator, no_graph)
+        with pytest.raises(InstanceError, match=f"got {h}$"):
+            build_dataset(name, h=h)
 
 
 class TestFlixsterAnalog(object):
@@ -143,6 +161,10 @@ class TestEdgeListDataset:
         assert "wc" in PROB_MODELS
         with pytest.raises(InstanceError, match="prob_model"):
             build_edge_list_dataset(edge_list_file, prob_model="magic")
+
+    def test_no_advertisers_rejected(self, edge_list_file):
+        with pytest.raises(InstanceError, match="got 0$"):
+            build_edge_list_dataset(edge_list_file, h=0)
 
     def test_unknown_spread_mode_rejected(self, edge_list_file):
         with pytest.raises(InstanceError, match="spread_mode"):

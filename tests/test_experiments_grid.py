@@ -352,6 +352,8 @@ class TestSpecValidation:
             {"seed": -1},
             {"config": {"eps": "x"}},
             {"config": {"theta_cap": 0}},
+            {"config": {"opt_lower_mode": "bogus"}},
+            {"config": {"grid_mode": "nope"}},
             {"config": []},
             {"datasets": {"name": "epinions_syn"}},
             {"datasets": ["epinions_syn"]},
@@ -496,6 +498,7 @@ UNBUILDABLE_ENTRIES = [
     ({"name": "epinions_syn", "bogus_kw": 3}, "SpecError", "bogus_kw"),
     ({"name": "epinions_syn", "n": 1}, "GraphError", "nodes"),
     ({"name": "epinions_syn", "n": "abc"}, "SpecError", "abc"),
+    ({"name": "epinions_syn", "n": 100, "h": -3}, "InstanceError", "got -3"),
 ]
 
 

@@ -385,7 +385,7 @@ class TestEngineParity:
             recount = np.zeros(inst.n, dtype=np.int64)
             for sid in range(coll.theta):
                 if not coll.covered[sid]:
-                    recount[coll.set_members(sid)] += 1
+                    recount[state.store.set_members(sid)] += 1
             assert coll.counts.tolist() == recount.tolist()
             assert coll.covered_total == int(np.asarray(coll.covered).sum())
 

@@ -50,7 +50,7 @@ def _er_graph(n, p, graph_seed, probs_seed):
 #: even to an equally valid sample — fails loudly here.  Private and
 #: shared sampling are *documented* distinct streams (prob-identical
 #: ads share one store under ``share_samples``), so each gets its own
-#: golden; spilling a shared store must never move the shared one.
+#: golden; spilling a store must never move its golden.
 GOLDEN = {
     "TI-CSRM": {
         "private": {
@@ -247,12 +247,13 @@ class TestGoldenAllocations:
         [
             ("private", {}),
             ("shared", {"share_samples": True}),
-            # rr_bytes_budget=1 forces every shared store to spill to a
-            # memmap on its first batch; allocations must not move off
-            # the shared-sampling golden.
+            # rr_bytes_budget=1 forces every store to spill to a memmap
+            # on its first batch; allocations must not move off either
+            # golden.
+            ("private", {"rr_bytes_budget": 1}),
             ("shared", {"share_samples": True, "rr_bytes_budget": 1}),
         ],
-        ids=["ram-private", "ram-shared", "spill-shared"],
+        ids=["ram-private", "ram-shared", "spill-private", "spill-shared"],
     )
     def test_serial_combinations_match_golden(
         self, golden_instance, algorithm, golden_key, extra
