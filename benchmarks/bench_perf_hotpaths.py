@@ -43,8 +43,9 @@ import numpy as np
 
 from repro.api import EngineSpec, solve
 from repro.experiments.datasets import build_dataset
-from repro.rrset.backend import ParallelBackend, SerialBackend, make_backend
+from repro.rrset.backend import ParallelBackend, SharedGraphPool
 from repro.rrset.collection import RRCollection
+from repro.rrset.sampler import RRSampler
 
 try:  # package import (pytest from the repo root)
     from benchmarks.trajectory import append_entry
@@ -92,13 +93,12 @@ def _build():
 
 
 def bench_sampler(inst) -> tuple[float, RRCollection]:
-    # Measured through the backend seam ("serial" is bit-identical to
-    # the bare sampler) so the benchmark exercises the same code path
-    # every engine/oracle consumer now takes.
-    backend = make_backend(inst.graph, inst.ad_probs[0])
+    # RRSampler is the serial sampler every engine/oracle consumer gets
+    # from EngineWarmState.make_sampler, so this is their code path.
+    sampler = RRSampler(inst.graph, inst.ad_probs[0])
     rng = np.random.default_rng(123)
     t0 = time.perf_counter()
-    members, indptr = backend.sample_batch_flat(WORKLOAD["sampler_sets"], rng)
+    members, indptr = sampler.sample_batch_flat(WORKLOAD["sampler_sets"], rng)
     elapsed = time.perf_counter() - t0
     coll = RRCollection(inst.graph.n)
     coll.add_sets_flat(members, indptr)
@@ -175,7 +175,7 @@ def bench_parallel_scaling(inst) -> dict:
     graph, probs = inst.graph, inst.ad_probs[0]
     count = WORKLOAD["sampler_sets"]
 
-    serial = SerialBackend(graph, probs)
+    serial = RRSampler(graph, probs)
     serial.sample_batch_flat(2_000, np.random.default_rng(0))  # warm
     t0 = time.perf_counter()
     serial.sample_batch_flat(count, np.random.default_rng(123))
@@ -183,7 +183,8 @@ def bench_parallel_scaling(inst) -> dict:
 
     curve = []
     for workers in WORKER_CURVE:
-        with ParallelBackend(graph, probs, workers=workers) as backend:
+        with SharedGraphPool(graph, workers) as pool:
+            backend = ParallelBackend(graph, probs, pool=pool)
             backend.sample_batch_flat(2_000, np.random.default_rng(0))  # warm
             t0 = time.perf_counter()
             backend.sample_batch_flat(count, np.random.default_rng(123))

@@ -82,10 +82,8 @@ from repro.rrset import (
     KPTEstimator,
     resolve_kernel,
     SamplerBackend,
-    SerialBackend,
     ParallelBackend,
     SharedGraphPool,
-    make_backend,
 )
 from repro.incentives import INCENTIVE_MODELS, compute_incentives
 from repro.core import (
@@ -168,10 +166,8 @@ __all__ = [
     "KPTEstimator",
     "resolve_kernel",
     "SamplerBackend",
-    "SerialBackend",
     "ParallelBackend",
     "SharedGraphPool",
-    "make_backend",
     "INCENTIVE_MODELS",
     "compute_incentives",
     "Advertiser",

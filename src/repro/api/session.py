@@ -59,8 +59,8 @@ from repro.core.instance import RMInstance
 from repro.core.ti_engine import EngineWarmState
 from repro.graph.digraph import DiGraph
 from repro.graph.updates import UpdatePlan, compile_updates
-from repro.rrset.backend import SamplerBackend
 from repro.rrset.collection import SharedRRStore
+from repro.rrset.sampler import SamplerBackend
 
 
 class _CountingBackend(SamplerBackend):
@@ -355,11 +355,11 @@ class AllocationSession:
         The warm counters also carry the fault-tolerance provenance
         (docs/ARCHITECTURE.md §11): ``worker_respawns`` and
         ``shards_recovered`` count supervised recoveries inside this
-        session's :class:`~repro.rrset.backend.SharedGraphPool`, and
-        ``pool_degraded`` counts backends that fell back to in-process
-        sampling after the pool proved unrecoverable —
-        ``pool_degraded_state`` reports whether the session is
-        currently in that degraded mode.
+        session's :class:`~repro.rrset.backend.SharedGraphPool`,
+        ``pool_degraded`` counts each time the pool could not be built
+        or a backend lost it to a failure, and ``pool_degraded_state``
+        reports whether the session now samples without a pool
+        (:attr:`~repro.core.ti_engine.EngineWarmState.degraded`).
         """
         stores = list(self._warm.stores.values())
         stored_sets = int(sum(int(g.store.size) for g in stores))
@@ -395,10 +395,8 @@ class AllocationSession:
             ),
             "spilled_stores": sum(1 for g in stores if g.store.spilled),
             "pagerank_orders": len(self._warm.pagerank_orders),
-            "pool_active": bool(
-                self._warm.pool is not None and not self._warm.pool.failed
-            ),
-            "pool_degraded_state": bool(self._warm.pool_failed),
+            "pool_active": self._warm.pool is not None and not self._warm.degraded,
+            "pool_degraded_state": self._warm.degraded,
         }
 
     # ------------------------------------------------------------------

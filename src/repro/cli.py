@@ -31,6 +31,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -97,12 +98,12 @@ def _engine_overrides(args) -> dict:
     return overrides
 
 
-def _config(args) -> ExperimentConfig:
+def _config(args, **settings) -> ExperimentConfig:
     return ExperimentConfig(
         eps=args.eps,
         theta_cap=args.theta_cap,
-        grid_mode=args.grid,
         seed=args.seed,
+        **settings,
         **_engine_overrides(args),
     )
 
@@ -150,7 +151,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     dataset = build_dataset(args.dataset, **_dataset_kwargs(args))
     _print_run_header(args, dataset)
-    config = _config(args)
+    config = _config(args, grid_mode=args.grid)
     rows = run_alpha_sweep(
         dataset,
         config,
@@ -466,16 +467,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Revenue maximization in incentivized social advertising "
         "(Aslay et al., VLDB 2017) — reproduction CLI",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Flags are spelled in full: an abbreviation would turn a --h given
+    # to a command without --h into --help.
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None, help="graph size override")
-    common.add_argument("--h", type=int, default=None, help="number of advertisers")
-    common.add_argument("--eps", type=float, default=0.5, help="estimator accuracy")
-    common.add_argument("--theta-cap", type=int, default=2000, dest="theta_cap")
-    common.add_argument("--seed", type=int, default=7)
-    common.add_argument("--grid", choices=("quick", "paper"), default="quick")
+    # Shared flags, each declared only on the commands that read it:
+    # --n (datasets, run, sweep, table), --h (run, sweep) and the
+    # accuracy flags (run, sweep, serve).  --grid is sweep's own.
+    size_n = argparse.ArgumentParser(add_help=False)
+    size_n.add_argument("--n", type=int, default=None, help="graph size override")
+    size_h = argparse.ArgumentParser(add_help=False)
+    size_h.add_argument("--h", type=int, default=None, help="number of advertisers")
+    accuracy = argparse.ArgumentParser(add_help=False)
+    accuracy.add_argument("--eps", type=float, default=0.5, help="estimator accuracy")
+    accuracy.add_argument("--theta-cap", type=int, default=2000, dest="theta_cap")
+    accuracy.add_argument("--seed", type=int, default=7)
 
     # Engine flags, only for the commands that solve (run, sweep, serve,
     # grid); see _engine_overrides.
@@ -503,13 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
         "spec's value)",
     )
 
-    p = sub.add_parser("datasets", parents=[common], help="list analog datasets")
+    p = sub.add_parser("datasets", parents=[size_n], help="list analog datasets")
     p.add_argument("--build", action="store_true", help="build and show stats")
     p.set_defaults(func=cmd_datasets)
 
     from repro.api.registry import algorithm_names
 
-    p = sub.add_parser("run", parents=[common, engine], help="run one algorithm")
+    p = sub.add_parser(
+        "run", parents=[size_n, size_h, accuracy, engine], help="run one algorithm"
+    )
     p.add_argument("--dataset", choices=sorted(DATASET_BUILDERS), required=True)
     # Choices come from the live registry, so algorithms registered
     # before main() (e.g. via a sitecustomize or wrapper script) are
@@ -524,9 +538,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
-        "sweep", parents=[common, engine], help="alpha sweep (Fig. 2/3)"
+        "sweep",
+        parents=[size_n, size_h, accuracy, engine],
+        help="alpha sweep (Fig. 2/3)",
     )
     p.add_argument("--dataset", choices=sorted(DATASET_BUILDERS), required=True)
+    p.add_argument(
+        "--grid",
+        choices=("quick", "paper"),
+        default="quick",
+        help="alpha grid: the paper's full grid or endpoints plus midpoint",
+    )
     p.add_argument(
         "--models",
         nargs="+",
@@ -541,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("table", parents=[common], help="regenerate Table 1/2")
+    p = sub.add_parser("table", parents=[size_n], help="regenerate Table 1/2")
     p.add_argument("--which", type=int, choices=(1, 2), default=1)
     p.set_defaults(func=cmd_table)
 
@@ -627,14 +649,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser(
-        "tightness", parents=[common], help="Figure 1 theory walkthrough"
-    )
+    p = sub.add_parser("tightness", help="Figure 1 theory walkthrough")
     p.set_defaults(func=cmd_tightness)
 
     p = sub.add_parser(
         "serve",
-        parents=[common, engine],
+        parents=[accuracy, engine],
         help="run the allocation daemon over a warm session pool",
         description="Long-running HTTP daemon: POST /solve queries route "
         "onto pooled warm AllocationSessions keyed by (dataset, probs "

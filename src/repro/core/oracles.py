@@ -128,11 +128,11 @@ class RRStaticOracle(SpreadOracle):
         seed=None,
         workers: int | None = None,
     ) -> None:
-        """*workers* selects the sampling backend (see
-        :func:`repro.rrset.backend.make_backend`); the default is
-        bit-identical to the pre-seam oracle.  With ``workers >= 2`` all
-        ads draw through one worker pool (the engine's pool rule,
-        :meth:`~repro.core.ti_engine.EngineWarmState.make_sampler`),
+        """*workers* selects the sampler through the engine's one
+        sampler factory,
+        :meth:`~repro.core.ti_engine.EngineWarmState.make_sampler`: the
+        default is the serial :class:`~repro.rrset.sampler.RRSampler`,
+        and with ``workers >= 2`` all ads draw through one worker pool,
         torn down before the constructor returns."""
         super().__init__(instance)
         if n_samples < 1:

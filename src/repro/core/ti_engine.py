@@ -46,13 +46,12 @@ Documented deviations from the pseudocode (docs/ARCHITECTURE.md §6):
 
 Performance notes (flat data plane + lazy candidates):
 
-* RR sets are drawn through a pluggable
-  :class:`~repro.rrset.backend.SamplerBackend` that the spec's
+* RR sets are drawn through a
+  :class:`~repro.rrset.sampler.SamplerBackend` that the spec's
   ``workers`` alone selects (docs/ARCHITECTURE.md §3).  ``None``, 0 or
-  1 is serial: it delegates to :meth:`RRSampler.sample_batch_flat` and
-  is bit-identical to the pre-seam engine.  ``k >= 2`` fans each batch
-  over a ``k``-worker shared-memory pool owned by the run's
-  :class:`EngineWarmState` (one pool serves all ads); it is
+  1 is the serial :class:`~repro.rrset.sampler.RRSampler`.  ``k >= 2``
+  fans each batch over a ``k``-worker shared-memory pool owned by the
+  run's :class:`EngineWarmState` (one pool serves all ads); it is
   deterministic for a fixed ``(seed, workers)`` pair but draws a
   different — equally valid — sample than serial.  Sets are stored in
   flat CSR stores; all coverage maintenance is vectorized.
@@ -97,16 +96,16 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro._rng import as_generator, spawn
-from repro.errors import AllocationError, WorkerCrashError
+from repro.errors import AllocationError, EstimationError, WorkerCrashError
 from repro.graph.pagerank import pagerank_order
 from repro.rrset.backend import (
     FAULT_COUNTER_KEYS,
-    SamplerBackend,
+    ParallelBackend,
     SharedGraphPool,
-    make_backend,
     new_fault_counters,
 )
 from repro.rrset.collection import SharedRRCollection, SharedRRStore
+from repro.rrset.sampler import RRSampler, SamplerBackend
 from repro.rrset.tim import KPTEstimator, sample_size
 from repro.core.allocation import Allocation, AllocationResult
 from repro.core.instance import RMInstance
@@ -185,8 +184,9 @@ class EngineWarmState:
     * ``pagerank_orders`` — prob-content key → node ordering, so the
       PageRank baselines rank once per probability vector.
     * ``pool`` — one :class:`SharedGraphPool` serving every parallel
-      sampler made by :meth:`make_sampler`; :meth:`close` (or
-      :meth:`close_pool`, when the graph changes) tears it down.
+      sampler made by :meth:`make_sampler`, the only place a pool is
+      built; :meth:`close` (or :meth:`close_pool`, when the graph
+      changes) tears it down.
     * ``wrap_sampler`` — optional hook applied to each newly created
       sampler backend (sessions install a counting proxy here so reuse
       is observable).
@@ -199,13 +199,12 @@ class EngineWarmState:
       so RR reuse is auditable provenance, not silent behavior.  The
       same dict carries the fault-tolerance counters
       (``worker_respawns`` / ``shards_recovered`` / ``pool_degraded``,
-      docs/ARCHITECTURE.md §11): it is handed to the pool and backends,
-      which increment it in place as they recover from or degrade
-      around worker failures.
-    * ``pool_failed`` — set once pool infrastructure for this state
-      proved unusable (creation failed or the pool declared itself
-      unrecoverable); later samplers go straight to degraded in-process
-      sampling instead of re-attempting a doomed pool.
+      docs/ARCHITECTURE.md §11): it is handed to the pool, which the
+      pool and the backends sampling through it increment in place as
+      they recover from or degrade around worker failures.
+    * ``pool_failed`` — set once a pool for this state could not be
+      built, or when :meth:`close_pool` drops a pool that had failed;
+      see :attr:`degraded`.
     """
 
     def __init__(self) -> None:
@@ -217,33 +216,43 @@ class EngineWarmState:
         self.counters = {"store_hits": 0, "store_misses": 0}
         self.counters.update(new_fault_counters())
 
-    def make_sampler(self, graph, probs, workers: int | None) -> SamplerBackend:
-        """A sampler backend over (*graph*, *probs*): the one pool rule.
+    @property
+    def degraded(self) -> bool:
+        """Whether this state samples without a pool.
 
-        ``workers >= 2`` samples through this state's shared pool, built
-        on first use.  A pool that cannot be built, or that failed
-        since, marks the state degraded: every later backend samples
-        in-process without re-attempting the broken infrastructure, and
-        ``pool_degraded`` records the event.  The backend passes through
-        :attr:`wrap_sampler`.
+        True once a pool could not be built (``pool_failed``) or the
+        built pool has failed since.  Either way later parallel samplers
+        run their shard plans in-process, and no pool is built again.
         """
-        pool, degraded = None, False
-        if (workers or 0) > 1:
-            if self.pool is not None and self.pool.failed:
-                self.pool, self.pool_failed = None, True
+        return self.pool_failed or (self.pool is not None and self.pool.failed)
+
+    def make_sampler(self, graph, probs, workers: int | None) -> SamplerBackend:
+        """The sampler over (*graph*, *probs*) that *workers* selects.
+
+        The one sampler factory and the one place a pool is built:
+        ``None``, 0 or 1 worker is a serial :class:`RRSampler`;
+        ``k >= 2`` is a :class:`ParallelBackend` over this state's one
+        ``k``-worker pool, built on first use.  A pool that cannot be
+        built marks the state :attr:`degraded` and counts one
+        ``pool_degraded``; a degraded state hands out pool-less parallel
+        backends, which run the same shard plans in-process.  The
+        sampler passes through :attr:`wrap_sampler`.
+        """
+        if workers is not None and workers < 0:
+            raise EstimationError(f"workers must be non-negative, got {workers}")
+        if (workers or 0) < 2:
+            sampler = RRSampler(graph, probs)
+        else:
             if self.pool is None and not self.pool_failed:
                 try:
-                    self.pool = SharedGraphPool(
-                        graph, workers, counters=self.counters
-                    )
+                    self.pool = SharedGraphPool(graph, workers, counters=self.counters)
                 except WorkerCrashError:
                     self.pool_failed = True
                     self.counters["pool_degraded"] += 1
-            pool, degraded = self.pool, self.pool_failed
-        sampler = make_backend(
-            graph, probs, workers=workers, pool=pool,
-            counters=self.counters, degraded=degraded,
-        )
+            sampler = ParallelBackend(
+                graph, probs, workers=workers,
+                pool=None if self.degraded else self.pool,
+            )
         if self.wrap_sampler is not None:
             sampler = self.wrap_sampler(sampler)
         return sampler
@@ -258,8 +267,13 @@ class EngineWarmState:
         return order
 
     def close_pool(self) -> None:
-        """Shut the worker pool down; the next parallel sampler builds one."""
+        """Shut the worker pool down; the next parallel sampler builds one.
+
+        A pool that had failed leaves the state :attr:`degraded`, so no
+        pool is built again.
+        """
         if self.pool is not None:
+            self.pool_failed = self.degraded
             self.pool.close()
             self.pool = None
 
@@ -724,10 +738,9 @@ class TIEngine:
                     key: counters.get(key, 0) - fault_before[key]
                     for key in FAULT_COUNTER_KEYS
                 },
-                "degraded": (
-                    counters.get("pool_degraded", 0) - fault_before["pool_degraded"]
-                )
-                > 0,
+                # Whether this parallel run ended sampling without a
+                # pool (docs/ARCHITECTURE.md §11).
+                "degraded": self.workers is not None and self._warm.degraded,
             },
         )
 

@@ -18,6 +18,7 @@ from repro._rng import as_generator
 from repro.errors import EstimationError
 from repro.graph.digraph import DiGraph
 from repro.diffusion.simulate import simulate_cascade
+from repro.rrset.sampler import RRSampler
 
 
 def estimate_spread(
@@ -66,29 +67,20 @@ def estimate_singleton_spreads_rr(
     probs: np.ndarray,
     n_samples: int = 20_000,
     rng=None,
-    backend=None,
 ) -> np.ndarray:
     """RR-based batch estimate of every singleton spread.
 
     ``σ({u}) = n · E[u ∈ R]`` for a random RR set ``R``, so counting
     memberships over one shared sample prices all nodes simultaneously.
-    Every estimate is floored at 1: a seed always engages itself.
-
-    *backend* is an already-built
-    :class:`~repro.rrset.backend.SamplerBackend` over ``(graph, probs)``
-    to draw through (e.g. a parallel backend the caller owns); ``None``
-    builds a serial one, bit-identical to the pre-seam estimator.
+    Every estimate is floored at 1: a seed always engages itself.  The
+    sample is one serial :class:`~repro.rrset.sampler.RRSampler` batch.
     """
     if n_samples < 1:
         raise EstimationError(f"n_samples must be positive, got {n_samples}")
     rng = as_generator(rng)
-    if backend is None:
-        from repro.rrset.backend import SerialBackend
-
-        backend = SerialBackend(graph, probs)
     # Members are unique within each set, so one bincount over the flat
     # batch counts every node's memberships across all sets at once.
-    members, _ = backend.sample_batch_flat(n_samples, rng)
+    members, _ = RRSampler(graph, probs).sample_batch_flat(n_samples, rng)
     counts = np.bincount(members, minlength=graph.n)
     return np.maximum(graph.n * counts / n_samples, 1.0)
 

@@ -65,12 +65,13 @@ class WorkerCrashError(EstimationError):
 
 class PoolDegradedError(EstimationError):
     """Raised by a :class:`~repro.rrset.backend.SharedGraphPool` that has
-    exhausted its respawn budget and shut itself down.
+    failed — exhausted its respawn budget, or could not create the
+    shared-memory block of a probability vector — and shut itself down.
 
     :class:`~repro.rrset.backend.ParallelBackend` catches this and
     degrades to in-process execution of the same shard plan (bit-identical
-    output per ``(seed, workers)``), recording the degradation in its
-    fault counters.
+    output per ``(seed, workers)``), counting one ``pool_degraded`` in
+    the pool's fault counters.
     """
 
 

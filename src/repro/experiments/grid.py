@@ -114,6 +114,11 @@ EXECUTION_MODES = ("cold", "warm_per_dataset")
 #: like ``mode`` — they stay outside :meth:`GridSpec.spec_key`.
 EXECUTION_FAULT_KEYS = ("cell_timeout_s", "max_retries", "retry_backoff_s")
 
+#: ``ExperimentConfig`` fields that no grid cell reads (dataset entries
+#: carry their own ``singleton_rr_samples``); a spec's ``config`` block
+#: refuses them.
+UNREAD_CONFIG_KEYS = ("grid_mode", "scalability_window", "singleton_rr_samples")
+
 #: Default exponential-backoff base between cell retry attempts.
 DEFAULT_RETRY_BACKOFF_S = 0.25
 
@@ -282,6 +287,13 @@ class GridSpec:
         unknown = set(self.config) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise SpecError(f"unknown config keys: {sorted(unknown)}")
+        unread = set(self.config) & set(UNREAD_CONFIG_KEYS)
+        if unread:
+            # Each would still enter spec_key and fork the manifest.
+            raise SpecError(
+                f"config keys that no grid cell reads: {sorted(unread)}; "
+                "a dataset entry takes singleton_rr_samples"
+            )
         # Run EngineSpec's own checks now, not one quarantined cell at a
         # time; the per-cell opt_lower is resolved later, so "kpt" stands in.
         ExperimentConfig(**self.config).engine_spec(opt_lower="kpt")

@@ -1,19 +1,17 @@
 """Reverse-reachable set machinery (Borgs et al.; Tang et al. TIM)."""
 
-from repro.rrset.sampler import RRSampler, resolve_kernel, sample_batch_flat_kernel
-from repro.rrset.backend import (
-    ParallelBackend,
+from repro.rrset.sampler import (
+    RRSampler,
     SamplerBackend,
-    SerialBackend,
-    SharedGraphPool,
-    make_backend,
+    resolve_kernel,
+    sample_batch_flat_kernel,
 )
+from repro.rrset.backend import ParallelBackend, SharedGraphPool
 from repro.rrset.collection import (
     RRCollection,
     SharedRRCollection,
     SharedRRStore,
     estimate_spread_flat,
-    estimate_spread_from_sets,
     member_dtype_for,
 )
 from repro.rrset.tim import (
@@ -27,15 +25,12 @@ __all__ = [
     "sample_batch_flat_kernel",
     "resolve_kernel",
     "SamplerBackend",
-    "SerialBackend",
     "ParallelBackend",
     "SharedGraphPool",
-    "make_backend",
     "RRCollection",
     "SharedRRCollection",
     "SharedRRStore",
     "estimate_spread_flat",
-    "estimate_spread_from_sets",
     "member_dtype_for",
     "log_binomial",
     "sample_size",

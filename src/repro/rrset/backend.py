@@ -1,47 +1,38 @@
-"""Pluggable RR sampling backends: serial and shared-memory parallel.
+"""Shared-memory parallel RR sampling: the worker pool and its backend.
 
-Every consumer of RR sets — :class:`~repro.core.ti_engine.TIEngine`,
-TIM's KPT estimator, the static RR oracle, the singleton-spread pricer,
-the benchmark harness — draws batches through one seam, a
-:class:`SamplerBackend`, instead of touching :class:`RRSampler`
-directly.  The worker count alone picks one of two implementations
-(:func:`make_backend`):
-
-* :class:`SerialBackend` (``None``, 0 or 1 worker) — a thin delegate
-  around :class:`RRSampler`.
-* :class:`ParallelBackend` (``k >= 2`` workers; fewer is refused) —
-  fans :func:`sample_batch_flat_kernel` out over a persistent pool of
-  ``k`` worker processes.  The graph's reverse CSR
-  (``in_indptr``, ``in_tails``) and each registered probability vector
-  (already permuted to in-CSR slot order) live in
-  :mod:`multiprocessing.shared_memory` blocks created once per pool;
-  workers attach by name and never copy them.  A batch of ``count``
-  sets is split into one shard per worker (balanced, a pure function of
-  ``(count, workers)``); each shard samples under its own
-  :class:`numpy.random.SeedSequence`-spawned generator, and the shards
-  are merged back into a single CSR pair in shard order.
+:class:`ParallelBackend` is the process-parallel
+:class:`~repro.rrset.sampler.SamplerBackend`;
+:class:`~repro.rrset.sampler.RRSampler` is the serial one.
+:meth:`~repro.core.ti_engine.EngineWarmState.make_sampler` is the one
+place that picks between them by worker count, and the one place that
+builds a :class:`SharedGraphPool`.  The parallel backend fans
+:func:`sample_batch_flat_kernel` out over the pool's ``k`` worker
+processes.  The graph's reverse CSR (``in_indptr``, ``in_tails``) and
+each registered probability vector (already permuted to in-CSR slot
+order) live in :mod:`multiprocessing.shared_memory` blocks created once
+per pool; workers attach by name and never copy them.  A batch of
+``count`` sets is split into one shard per worker (balanced, a pure
+function of ``(count, workers)``); each shard samples under its own
+:class:`numpy.random.SeedSequence`-spawned generator, and the shards
+are merged back into a single CSR pair in shard order.
 
 RNG-stream contract (docs/ARCHITECTURE.md §2–§3):
-
-* :class:`SerialBackend` draws with the caller's generator —
-  **bit-identical** to :meth:`RRSampler.sample_batch_flat`.
-* :class:`ParallelBackend` consumes exactly **one** ``rng.integers``
-  draw from the caller's generator per batch, to derive a root
-  :class:`~numpy.random.SeedSequence`; shard ``k`` samples with
-  ``default_rng(root.spawn(shards)[k])``.  The output is a valid
-  i.i.d. RR sample from the same distribution, deterministic for a
-  fixed ``(seed, workers)`` pair, but *different* from the serial
-  stream — the same trade the flat batch sampler already made against
-  the legacy per-set sampler.
+:class:`ParallelBackend` consumes exactly **one** ``rng.integers`` draw
+from the caller's generator per batch, to derive a root
+:class:`~numpy.random.SeedSequence`; shard ``k`` samples with
+``default_rng(root.spawn(shards)[k])``.  The output is a valid i.i.d.
+RR sample from the same distribution, deterministic for a fixed
+``(seed, workers)`` pair, but *different* from the serial stream of
+:meth:`RRSampler.sample_batch_flat`.
 
 One pool (one set of worker processes + shared-memory segments) can
 serve many ads: probability vectors are registered with
 :meth:`SharedGraphPool.register_probs`, which dedups by content, so a
 fully competitive marketplace shares one block.  Pools must be
 :meth:`closed <SharedGraphPool.close>` (or used as context managers) to
-release the shared memory; backends that own their pool close it with
-themselves, and a single module-level :mod:`atexit` guard closes any
-pool still alive at interpreter exit.
+release the shared memory; the warm state that built a pool closes it,
+and a single module-level :mod:`atexit` guard closes any pool still
+alive at interpreter exit.
 
 Fault tolerance (docs/ARCHITECTURE.md §11):
 
@@ -52,15 +43,15 @@ Fault tolerance (docs/ARCHITECTURE.md §11):
   Because every shard carries its own :class:`~numpy.random.SeedSequence`,
   a re-executed shard reproduces the lost result bit for bit, so
   recovery never changes the ``(seed, workers)`` output contract.
-* Respawns are bounded (``max_respawns``); past the budget the pool
-  closes itself and raises :class:`~repro.errors.PoolDegradedError`.
-  :class:`ParallelBackend` catches that — and pool/shared-memory
-  construction failures (:class:`~repro.errors.WorkerCrashError`) —
-  and **degrades** to in-process serial execution of the *same shard
-  plan*: still bit-identical per ``(seed, workers)``, just without
-  process parallelism.  Degradation is recorded in the backend's
-  ``fault_counters`` (``pool_degraded``) and its ``degraded`` flag, so
-  provenance survives into session stats and manifests.
+* Past its respawn budget (``max_respawns``), or when it cannot create
+  a probability block, the pool *fails*: it closes itself and raises
+  :class:`~repro.errors.PoolDegradedError`, and :attr:`SharedGraphPool.failed`
+  turns True.  :class:`ParallelBackend` catches that and **degrades**
+  to in-process serial execution of the *same shard plan*: still
+  bit-identical per ``(seed, workers)``, just without process
+  parallelism.  It counts the switch as one ``pool_degraded`` in the
+  pool's ``counters``, so provenance survives into session stats and
+  manifests.
 * Shared-memory segments are named ``repro_<pid>_...``; the first pool
   a process creates runs :func:`reap_orphan_shm`, unlinking segments
   left behind by dead processes (a crashed run cannot permanently leak
@@ -83,7 +74,6 @@ import secrets
 import sys
 import time
 import weakref
-from abc import ABC, abstractmethod
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -94,15 +84,14 @@ from repro.errors import EstimationError, PoolDegradedError, WorkerCrashError
 from repro.graph.digraph import DiGraph
 from repro.rrset.sampler import (
     DEFAULT_CHUNK_BYTES,
-    RRSampler,
-    batch_widths,
+    SamplerBackend,
     sample_batch_flat_kernel,
     validate_edge_probs,
 )
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-#: Counter keys every pool/backend fault-counters dict carries.
+#: Counter keys every pool's fault-counters dict carries.
 FAULT_COUNTER_KEYS = ("worker_respawns", "shards_recovered", "pool_degraded")
 
 
@@ -143,73 +132,6 @@ def merge_shards(
         + [p[1:] + off for (_, p), off in zip(parts, offsets)]
     ).astype(np.int64)
     return members, indptr
-
-
-class SamplerBackend(ABC):
-    """Batch RR-set sampling seam shared by all consumers.
-
-    Implementations expose the same surface as the flat half of
-    :class:`RRSampler` — :meth:`sample_batch_flat`,
-    :meth:`sample_batch`, :meth:`sample_batch_widths` — plus a
-    :meth:`close` for backends holding OS resources.  ``graph`` and
-    ``probs`` (canonical edge order, ``float64[m]``) are readable
-    attributes on every backend.
-    """
-
-    graph: DiGraph
-    probs: np.ndarray
-
-    @abstractmethod
-    def sample_batch_flat(
-        self, count: int, rng=None, *, roots=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw *count* RR sets as one flat ``(members, indptr)`` CSR pair.
-
-        Same output contract as :meth:`RRSampler.sample_batch_flat`:
-        both arrays ``int64``, freshly allocated, owned by the caller.
-        *roots*, when given (``int64[count]``), pins each set's root and
-        skips the root draw — the incremental-maintenance resample path
-        (docs/ARCHITECTURE.md §14); the RNG then starts directly at the
-        first coin-flip vector.
-        """
-
-    def sample_batch(self, count: int, rng=None) -> list[np.ndarray]:
-        """Draw *count* RR sets as a list of member arrays (convenience)."""
-        members, indptr = self.sample_batch_flat(count, rng)
-        return [members[indptr[k] : indptr[k + 1]].copy() for k in range(count)]
-
-    def sample_batch_widths(self, count: int, rng=None) -> np.ndarray:
-        """Widths (in-arc counts into members) of *count* fresh RR sets."""
-        members, indptr = self.sample_batch_flat(count, rng)
-        return batch_widths(self.graph.in_indptr, members, indptr)
-
-    def close(self) -> None:
-        """Release backend resources (idempotent; no-op for serial)."""
-
-    def __enter__(self) -> "SamplerBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SerialBackend(SamplerBackend):
-    """In-process backend delegating to one :class:`RRSampler`.
-
-    Bit-identical to the bare sampler for every method and RNG stream
-    (the width computation is the shared :func:`batch_widths` on both
-    sides); exists so code written against the seam pays nothing for it.
-    """
-
-    def __init__(self, graph: DiGraph, probs) -> None:
-        self._sampler = RRSampler(graph, probs)
-        self.graph = graph
-        self.probs = np.asarray(probs, dtype=np.float64)
-
-    def sample_batch_flat(
-        self, count: int, rng=None, *, roots=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self._sampler.sample_batch_flat(count, rng, roots=roots)
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +339,8 @@ class SharedGraphPool:
         Total worker respawns (crash or hang) the pool tolerates over
         its lifetime before declaring itself unrecoverable — it then
         closes and raises :class:`~repro.errors.PoolDegradedError`
-        (default ``max(2, workers)``).
+        (default ``max(2, workers)``).  A probability block that cannot
+        be created fails the pool the same way.
     counters:
         Optional shared mutable dict to record recovery events in
         (``worker_respawns`` / ``shards_recovered`` /
@@ -538,13 +461,15 @@ class SharedGraphPool:
         *probs* is in canonical edge order; it is permuted to in-CSR
         slot order here (once, in the parent) so workers index it
         directly with in-CSR arc slots.  Content-identical vectors share
-        one block — a fully competitive marketplace registers once.
+        one block — a fully competitive marketplace registers once.  A
+        block that cannot be created fails the pool (see :meth:`_fail`).
         """
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (self.graph.m,):
             raise EstimationError(
                 f"edge probabilities must have shape ({self.graph.m},), got {probs.shape}"
             )
+        self._check_usable()
         # Content key: a cryptographic digest keeps the "no accidental
         # sharing" guarantee of comparing raw bytes (collisions are
         # cryptographically negligible, unlike hash()) without pinning
@@ -552,8 +477,18 @@ class SharedGraphPool:
         key = hashlib.sha256(probs.tobytes()).digest()
         if key not in self._prob_blocks:
             probs_in = np.ascontiguousarray(probs[self.graph.in_edge_ids])
-            self._prob_blocks[key] = self._create_block(probs_in)
+            try:
+                self._prob_blocks[key] = self._create_block(probs_in)
+            except WorkerCrashError as exc:
+                self._fail(f"cannot publish a probability vector: {exc}")
         return self._prob_blocks[key]
+
+    def _check_usable(self) -> None:
+        """Raise unless the pool can take work: failed or closed pools refuse it."""
+        if self._failed:
+            raise PoolDegradedError("worker pool is unrecoverable")
+        if self._closed:
+            raise EstimationError("pool is closed")
 
     # -- dispatch ------------------------------------------------------
     def sample_shards(
@@ -582,12 +517,7 @@ class SharedGraphPool:
         :class:`~repro.errors.PoolDegradedError` so the backend can
         degrade instead of blocking forever.
         """
-        if self._failed:
-            raise PoolDegradedError(
-                "worker pool is unrecoverable (respawn budget exhausted)"
-            )
-        if self._closed:
-            raise EstimationError("pool is closed")
+        self._check_usable()
         if len(counts) != len(seed_seqs):
             raise EstimationError("counts and seed_seqs must have equal length")
         if roots is not None and len(roots) != len(counts):
@@ -758,37 +688,30 @@ class SharedGraphPool:
 
 
 class ParallelBackend(SamplerBackend):
-    """Process-parallel batch sampler over a :class:`SharedGraphPool`.
+    """Shard-parallel batch sampler: the process-parallel :class:`SamplerBackend`.
 
     Parameters
     ----------
     graph, probs:
-        As for :class:`RRSampler` (*probs* in canonical edge order).
+        As for :class:`~repro.rrset.sampler.RRSampler` (*probs* in
+        canonical edge order).
     workers:
-        Worker process count, at least 2 (one worker is
-        :class:`SerialBackend`'s job); ignored when *pool* is given.
+        The shard count, at least 2 (one worker is
+        :class:`~repro.rrset.sampler.RRSampler`'s job); taken from
+        *pool* when one is given.
     pool:
-        An existing pool over the same graph to share (e.g. one pool for
-        all ads of an engine run).  When omitted the backend creates and
-        owns one, closing it in :meth:`close`.
-    counters:
-        Optional shared fault-counter dict (see
-        :class:`SharedGraphPool`); defaults to the pool's when sharing
-        one, else to a private dict.  Always readable as
-        :attr:`fault_counters`.
-    degraded:
-        Start directly in degraded (in-process) mode — used by the
-        engine when an earlier pool for the same run already proved
-        unrecoverable.
+        The :class:`SharedGraphPool` over *graph* to sample through.
+        The backend never builds or closes a pool; ``None`` runs every
+        batch's shard plan in this process.
 
-    Degradation: when the pool cannot be created
-    (:class:`~repro.errors.WorkerCrashError`) or declares itself
-    unrecoverable mid-batch (:class:`~repro.errors.PoolDegradedError`),
-    the backend runs the *same shard plan* in-process — one
+    Each batch is split along the ``(count, workers)`` shard plan.  The
+    pool's workers run it, or, without a pool, this process does — one
     :func:`sample_batch_flat_kernel` call per shard under that shard's
-    seed sequence — so output stays bit-identical per
-    ``(seed, workers)``.  The switch is recorded in
-    ``fault_counters["pool_degraded"]`` and :attr:`degraded`.
+    seed sequence — so output is bit-identical per ``(seed, workers)``
+    either way.  When the pool fails
+    (:class:`~repro.errors.PoolDegradedError`), the backend counts one
+    ``pool_degraded`` in the pool's counters, drops the pool and samples
+    in-process from then on.
     """
 
     def __init__(
@@ -798,9 +721,6 @@ class ParallelBackend(SamplerBackend):
         *,
         workers: int | None = None,
         pool: SharedGraphPool | None = None,
-        counters: dict | None = None,
-        degraded: bool = False,
-        faults=None,
     ) -> None:
         if graph.n == 0:
             raise EstimationError("cannot sample RR sets from an empty graph")
@@ -815,63 +735,15 @@ class ParallelBackend(SamplerBackend):
         self.graph = graph
         self.probs = validate_edge_probs(graph, probs)
         self.workers = int(workers)
-        self._probs_in: np.ndarray | None = None  # lazy in-CSR permutation
-        self._degraded = bool(degraded)
-        self._closed = False
-        self._prob_name = None
-        if counters is None:
-            counters = pool.counters if pool is not None else new_fault_counters()
-        self.fault_counters = counters
-        for key in FAULT_COUNTER_KEYS:
-            self.fault_counters.setdefault(key, 0)
         self._pool = pool
-        self._owns_pool = False
-        if pool is not None:
-            if pool.failed:
-                self._note_degraded()
-        elif not self._degraded:
-            try:
-                self._pool = SharedGraphPool(
-                    graph,
-                    self.workers,
-                    counters=self.fault_counters,
-                    faults=faults,
-                )
-                self._owns_pool = True
-            except WorkerCrashError:
-                # Pool infrastructure (worker spawn / shared memory)
-                # failed: degrade to in-process shard execution.
-                self._note_degraded()
-        if self._pool is not None and not self._degraded:
-            try:
-                # The pool's shared block (registered here) is the only
-                # probs copy the workers need; no in-process delegate.
-                self._prob_name = self._pool.register_probs(self.probs)
-            except WorkerCrashError:
-                self._note_degraded()
-
-    @property
-    def degraded(self) -> bool:
-        """True once the backend fell back to in-process shard execution."""
-        return self._degraded
-
-    def _note_degraded(self) -> None:
-        """Switch to in-process shard execution (recording provenance)."""
-        if self._owns_pool and self._pool is not None:
-            try:
-                self._pool.close()
-            finally:
-                self._owns_pool = False
-        # A shared pool is the creator's to close (and closed itself if
-        # it failed); either way this backend stops using it.
-        self._pool = None
-        self._degraded = True
-        self.fault_counters["pool_degraded"] += 1
+        self._prob_name: str | None = None  # pool block, registered on first use
+        self._probs_in: np.ndarray | None = None  # lazy in-CSR permutation
+        self._closed = False
 
     def _sample_shards_inproc(
         self, counts: list[int], seqs, shard_roots=None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Run the shard plan in-process — the degraded-mode executor.
+        """Run the shard plan in-process — the pool-less executor.
 
         Exactly what the workers would have computed: the batch kernel
         over the in-CSR arrays with each shard's own generator
@@ -902,13 +774,13 @@ class ParallelBackend(SamplerBackend):
     def sample_batch_flat(
         self, count: int, rng=None, *, roots=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw *count* RR sets across the pool; one merged CSR pair.
+        """Draw *count* RR sets along the shard plan; one merged CSR pair.
 
         See the module docstring for the RNG-stream contract.  Batches
         smaller than the shard count still produce one shard per
         non-empty share, preserving the ``(seed, workers)``
         determinism guarantee — which also survives worker recovery and
-        pool degradation (the shard plan, not the process topology,
+        pool failure (the shard plan, not the process topology,
         defines the streams).
         """
         if self._closed:
@@ -917,7 +789,7 @@ class ParallelBackend(SamplerBackend):
             raise EstimationError(f"count must be non-negative, got {count}")
         rng = as_generator(rng)
         if count == 0:
-            # Stream-neutral on every backend: no RNG draw is consumed.
+            # Stream-neutral on every sampler: no RNG draw is consumed.
             return _EMPTY_I64.copy(), np.zeros(1, dtype=np.int64)
         counts = shard_counts(count, self.workers)
         root = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
@@ -936,60 +808,26 @@ class ParallelBackend(SamplerBackend):
             shard_roots = [
                 roots[offsets[k] : offsets[k + 1]] for k in range(len(counts))
             ]
-        if self._pool is not None and not self._degraded:
+        if self._pool is not None:
             try:
-                parts = self._pool.sample_shards(
-                    self._prob_name, counts, seqs, shard_roots
+                if self._prob_name is None:
+                    self._prob_name = self._pool.register_probs(self.probs)
+                return merge_shards(
+                    self._pool.sample_shards(self._prob_name, counts, seqs, shard_roots)
                 )
-                return merge_shards(parts)
             except PoolDegradedError:
-                self._note_degraded()
+                # The pool failed and closed itself: degrade to the
+                # in-process executor of the same shard plan for good.
+                self._pool.counters["pool_degraded"] += 1
+                self._pool = None
         return merge_shards(self._sample_shards_inproc(counts, seqs, shard_roots))
 
     def close(self) -> None:
         """Close this backend; further sampling raises.
 
-        An owned pool is shut down here; a shared pool stays up (it is
-        the creator's to close).  Closing is idempotent — including
-        after degradation, after the pool closed itself, and on double
-        close — so a closed parallel backend never silently degrades to
-        a different (serial) RNG stream.
+        The pool stays up: it is its owner's to close.  Closing is
+        idempotent, and a closed parallel backend never silently falls
+        back to a different (serial) RNG stream.
         """
-        if self._owns_pool and self._pool is not None:
-            try:
-                self._pool.close()
-            finally:
-                self._owns_pool = False
-                self._pool = None
         self._pool = None
         self._closed = True
-
-
-def make_backend(
-    graph: DiGraph,
-    probs,
-    *,
-    workers: int | None = None,
-    pool: SharedGraphPool | None = None,
-    counters: dict | None = None,
-    degraded: bool = False,
-) -> SamplerBackend:
-    """The backend *workers* selects: the one backend-choice rule.
-
-    ``None``, 0 or 1 worker is a :class:`SerialBackend`; ``k >= 2`` is a
-    :class:`ParallelBackend` over *pool* (when given) or a ``k``-worker
-    pool of its own.  Passing a *pool* implies parallel.  *counters* and
-    *degraded* apply to the parallel backend only.
-    """
-    if workers is not None and workers < 0:
-        raise EstimationError(f"workers must be non-negative, got {workers}")
-    if pool is None and (workers or 0) < 2:
-        return SerialBackend(graph, probs)
-    return ParallelBackend(
-        graph,
-        probs,
-        workers=workers,
-        pool=pool,
-        counters=counters,
-        degraded=degraded,
-    )

@@ -70,7 +70,7 @@ from __future__ import annotations
 import os
 import tempfile
 import weakref
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,17 +114,6 @@ def _remove_spill_file(path: str) -> None:
         os.unlink(path)
     except OSError:
         pass
-
-
-def _flatten_sets(
-    new_sets: Iterable[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate an iterable of member arrays into a CSR pair."""
-    arrays = [np.asarray(s, dtype=np.int64) for s in new_sets]
-    lens = np.asarray([a.size for a in arrays], dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(lens)))
-    members = np.concatenate(arrays) if arrays else _EMPTY_I64
-    return members, indptr
 
 
 def _segment_counts(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -255,11 +244,6 @@ class RRCollection:
         self.covered_total += absorbed
         self._inv_indptr = self._inv_sets = None  # rebuilt lazily
         return absorbed
-
-    def add_sets(self, new_sets: Iterable[np.ndarray], seeds: Sequence[int] = ()) -> int:
-        """List-of-arrays convenience wrapper over :meth:`add_sets_flat`."""
-        members, indptr = _flatten_sets(new_sets)
-        return self.add_sets_flat(members, indptr, seeds=seeds)
 
     def _inverted(self) -> tuple[np.ndarray, np.ndarray]:
         """The node → uncovered-set-ids index, rebuilt after growth."""
@@ -543,11 +527,6 @@ class SharedRRStore:
             if self._spill_finalizer is not None:
                 self._spill_finalizer()  # unlinks; detaches the finalizer
             self._spill_path = None
-
-    def extend(self, new_sets: Iterable[np.ndarray]) -> None:
-        """List-of-arrays convenience wrapper over :meth:`extend_flat`."""
-        members, indptr = _flatten_sets(new_sets)
-        self.extend_flat(members, indptr)
 
     def _inverted(self) -> tuple[np.ndarray, np.ndarray]:
         """The full-store node → set-ids index, rebuilt lazily.
@@ -850,11 +829,3 @@ def estimate_spread_flat(
     hit_members = np.isin(members, seeds)
     hit = int((_segment_counts(hit_members, indptr) > 0).sum())
     return n_nodes * hit / n_sets
-
-
-def estimate_spread_from_sets(sets: Sequence[np.ndarray], seed_set, n_nodes: int) -> float:
-    """Unbiased spread estimate ``n · F_R(S)`` from a static RR sample."""
-    if not sets:
-        raise EstimationError("cannot estimate spread from an empty sample")
-    members, indptr = _flatten_sets(sets)
-    return estimate_spread_flat(members, indptr, seed_set, n_nodes)

@@ -13,9 +13,10 @@ fraction of sets intersecting ``S`` — is an unbiased estimator of the
 spread ``σ_i(S)`` (Section 4.2).
 
 Batch sampling (:meth:`RRSampler.sample_batch_flat`) is the hot path of
-the TI engine and returns one flat CSR pair instead of a list of arrays:
-all member ids concatenated in an ``int64`` array plus an ``indptr``
-offset array (set ``k`` occupies ``members[indptr[k]:indptr[k+1]]``).
+the TI engine and returns one flat CSR pair, the only batch shape a
+:class:`SamplerBackend` produces: all member ids concatenated in an
+``int64`` array plus an ``indptr`` offset array (set ``k`` occupies
+``members[indptr[k]:indptr[k+1]]``).
 It runs a *level-synchronous* reverse BFS over all requested sets at
 once: roots are drawn in one vectorized RNG call, and each BFS level
 performs one ragged gather of every frontier node's in-arc slice, one
@@ -34,6 +35,8 @@ O(total scanned arcs · log level-width) with O(chunk · n) scratch.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
+
 import numpy as np
 
 from repro._rng import as_generator
@@ -43,6 +46,7 @@ from repro.graph.digraph import DiGraph
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "RRSampler",
+    "SamplerBackend",
     "batch_chunk_size",
     "batch_widths",
     "resolve_kernel",
@@ -58,8 +62,8 @@ DEFAULT_CHUNK_BYTES = 16 * 1024 * 1024
 def validate_edge_probs(graph: DiGraph, probs) -> np.ndarray:
     """Check shape/range of per-arc probabilities; returns them as float64.
 
-    Shared by :class:`RRSampler` and the backend seam so every entry
-    point enforces the same contract (canonical edge order,
+    Shared by both :class:`SamplerBackend` implementations so every
+    entry point enforces the same contract (canonical edge order,
     ``float64[m]``, values in [0, 1]).
     """
     probs = np.asarray(probs, dtype=np.float64)
@@ -90,9 +94,8 @@ def batch_widths(
 ) -> np.ndarray:
     """Per-set widths ``w(R)`` (in-arc counts into members) of a flat batch.
 
-    The single definition shared by :meth:`RRSampler.sample_batch_widths`
-    and the backend seam, so the KPT width statistic cannot diverge
-    between entry points.
+    The single definition behind :meth:`SamplerBackend.sample_batch_widths`,
+    so the KPT width statistic cannot diverge between samplers.
     """
     indeg = in_indptr[members + 1] - in_indptr[members]
     csum = np.concatenate(([0], np.cumsum(indeg)))
@@ -210,8 +213,59 @@ def sample_batch_flat_kernel(
     return members, indptr
 
 
-class RRSampler:
-    """Per-ad RR-set sampler.
+class SamplerBackend(ABC):
+    """Batch RR-set sampling seam shared by all consumers.
+
+    Two implementations exist, and
+    :meth:`~repro.core.ti_engine.EngineWarmState.make_sampler` picks one
+    by worker count: :class:`RRSampler` (serial) and
+    :class:`~repro.rrset.backend.ParallelBackend` (shard-parallel).
+    Both draw flat ``(members, indptr)`` CSR batches only.  ``graph``
+    and ``probs`` (canonical edge order, ``float64[m]``) are readable
+    attributes of every sampler.
+    """
+
+    __slots__ = ()
+
+    graph: DiGraph
+    probs: np.ndarray
+
+    @abstractmethod
+    def sample_batch_flat(
+        self, count: int, rng=None, *, roots=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw *count* RR sets as one flat ``(members, indptr)`` CSR pair.
+
+        Both arrays are ``int64``, freshly allocated and owned by the
+        caller; set ``k`` is ``members[indptr[k]:indptr[k+1]]``.
+        *roots*, when given (``int64[count]``), pins each set's root and
+        skips the root draw — the incremental-maintenance resample path
+        (docs/ARCHITECTURE.md §14); the RNG then starts directly at the
+        first coin-flip vector.
+        """
+
+    def sample_batch_widths(self, count: int, rng=None) -> np.ndarray:
+        """Widths of *count* fresh RR sets, computed in one flat batch.
+
+        The width ``w(R)`` is the number of arcs pointing into members of
+        ``R``; TIM's KPT estimation consumes it (Section 4.2 of [34]).
+        The member ids themselves are discarded.
+        """
+        members, indptr = self.sample_batch_flat(count, rng)
+        return batch_widths(self.graph.in_indptr, members, indptr)
+
+    def close(self) -> None:
+        """Release sampler resources (idempotent; no-op for serial)."""
+
+    def __enter__(self) -> "SamplerBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class RRSampler(SamplerBackend):
+    """Per-ad serial RR-set sampler: the in-process :class:`SamplerBackend`.
 
     Parameters
     ----------
@@ -225,59 +279,19 @@ class RRSampler:
 
     Notes
     -----
-    The constructor re-indexes the probabilities into in-CSR order once so
-    each reverse scan is a contiguous slice; sampling then costs one
-    uniform draw plus one coin-flip vector per visited node.
+    The constructor re-indexes the probabilities into in-CSR order once,
+    so each node's in-arc coins are one contiguous slice.
     """
 
-    __slots__ = ("graph", "probs_in", "_in_indptr", "_in_tails")
+    __slots__ = ("graph", "probs", "probs_in", "_in_indptr", "_in_tails")
 
     def __init__(self, graph: DiGraph, probs, *, kernel: str | None = None) -> None:
         resolve_kernel(kernel)
-        probs = validate_edge_probs(graph, probs)
         self.graph = graph
-        self.probs_in = np.ascontiguousarray(probs[graph.in_edge_ids])
+        self.probs = validate_edge_probs(graph, probs)
+        self.probs_in = np.ascontiguousarray(self.probs[graph.in_edge_ids])
         self._in_indptr = graph.in_indptr
         self._in_tails = graph.in_tails
-
-    def sample(self, rng=None, target: int | None = None) -> np.ndarray:
-        """Draw one RR set; returns the member node ids (target included).
-
-        *target* fixes the root node (used by tests); by default it is
-        uniform over ``V``.  Members are listed in discovery order (the
-        root first), matching one BFS slice of
-        :meth:`sample_batch_flat` given the same RNG state and root.
-        """
-        rng = as_generator(rng)
-        n = self.graph.n
-        if n == 0:
-            raise EstimationError("cannot sample an RR set from an empty graph")
-        if target is None:
-            target = int(rng.integers(0, n))
-        elif not 0 <= target < n:
-            raise EstimationError(f"target {target} out of range [0, {n})")
-
-        indptr = self._in_indptr
-        tails = self._in_tails
-        probs = self.probs_in
-        visited = np.zeros(n, dtype=bool)
-        visited[target] = True
-        members = [target]
-        stack = [target]
-        while stack:
-            v = stack.pop()
-            lo, hi = indptr[v], indptr[v + 1]
-            if lo == hi:
-                continue
-            flips = rng.random(hi - lo) < probs[lo:hi]
-            if not flips.any():
-                continue
-            for u in tails[lo:hi][flips]:
-                if not visited[u]:
-                    visited[u] = True
-                    members.append(int(u))
-                    stack.append(int(u))
-        return np.asarray(members, dtype=np.int64)
 
     # Visited-bitmap budget per chunk, in bytes.  The chunk size derived
     # from it is a pure function of (n, count) so seeded streams stay
@@ -312,11 +326,9 @@ class RRSampler:
         roots, then per chunk and per BFS level a single
         ``rng.random(E)`` draw covering every candidate arc of the
         level (frontier order: sets ascending, each node's in-arc slice
-        contiguous).  This differs from :meth:`sample`'s per-node
-        stream but realizes the same lazy-arc distribution; seeded runs
-        are fully deterministic.  The actual work happens in
-        :func:`sample_batch_flat_kernel`, which parallel workers invoke
-        directly over shared-memory CSR views.
+        contiguous).  Seeded runs are fully deterministic.  The actual
+        work happens in :func:`sample_batch_flat_kernel`, which parallel
+        workers invoke directly over shared-memory CSR views.
 
         *roots*, when given, pins each set's root and skips the root
         draw entirely (the stream then starts at the first coin-flip
@@ -337,34 +349,3 @@ class RRSampler:
             self._CHUNK_BYTES,
             roots,
         )
-
-    def sample_batch(self, count: int, rng=None) -> list[np.ndarray]:
-        """Draw *count* independent RR sets as a list of member arrays.
-
-        Convenience wrapper over :meth:`sample_batch_flat` (same RNG
-        stream); prefer the flat form in hot paths.
-        """
-        members, indptr = self.sample_batch_flat(count, rng)
-        return [
-            members[indptr[k] : indptr[k + 1]].copy() for k in range(count)
-        ]
-
-    def sample_with_width(self, rng=None) -> tuple[np.ndarray, int]:
-        """Draw one RR set together with its *width*.
-
-        The width ``w(R)`` is the number of arcs pointing into members of
-        ``R``; TIM's KPT estimation consumes it (Section 4.2 of [34]).
-        """
-        members = self.sample(rng)
-        indptr = self._in_indptr
-        width = int(np.sum(indptr[members + 1] - indptr[members]))
-        return members, width
-
-    def sample_batch_widths(self, count: int, rng=None) -> np.ndarray:
-        """Widths of *count* fresh RR sets, computed in one flat batch.
-
-        Batched counterpart of :meth:`sample_with_width` for the KPT
-        estimator; the member ids themselves are discarded.
-        """
-        members, indptr = self.sample_batch_flat(count, rng)
-        return batch_widths(self._in_indptr, members, indptr)

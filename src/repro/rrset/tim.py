@@ -95,11 +95,9 @@ class KPTEstimator:
         rng=None,
         max_samples: int = 20_000,
     ) -> None:
-        """*sampler* is an :class:`RRSampler` or any
-        :class:`~repro.rrset.backend.SamplerBackend` — only
-        ``sample_batch_widths`` and the ``graph`` attribute are used, so
-        KPT estimation transparently inherits the engine's backend
-        (serial width streams are bit-identical through the seam)."""
+        """*sampler* is any :class:`~repro.rrset.sampler.SamplerBackend`
+        — only ``sample_batch_widths`` and the ``graph`` attribute are
+        used, so KPT estimation draws through the engine's sampler."""
         self.sampler = sampler
         self.ell = float(ell)
         self.rng = as_generator(rng)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,43 @@ from repro.core.instance import RMInstance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import build_dataset
 from repro.graph.digraph import DiGraph
+
+#: Tolerance of every RR-estimate-vs-exact-spread check, in binomial
+#: standard errors of ``n · F_R(S)`` (see :func:`spread_se`).
+MAX_SE = 5.0
+
+
+def spread_se(n: int, exact: float, samples: int) -> float:
+    """Binomial standard error of ``n · F_R(S)`` over *samples* RR sets.
+
+    ``F_R(S)`` counts the sets hit by ``S``; each is hit with
+    probability ``σ(S) / n``, so with ``exact = σ(S)`` the estimate's
+    standard error is ``n · sqrt(p (1 - p) / samples)``.
+    """
+    p = exact / n
+    return n * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
+
+
+def assert_within_se(estimate: float, exact: float, n: int, samples: int) -> None:
+    """*estimate* lies within :data:`MAX_SE` standard errors of *exact*.
+
+    The 1e-9 slack absorbs float rounding in ``exact`` when the hit
+    probability is 0 or 1 and the standard error vanishes.
+    """
+    se = spread_se(n, exact, samples)
+    assert abs(estimate - exact) <= MAX_SE * se + 1e-9, (
+        f"estimate {estimate} vs exact spread {exact}: off by more than "
+        f"{MAX_SE} x SE {se}"
+    )
+
+
+def flat_sets(*sets) -> tuple[np.ndarray, np.ndarray]:
+    """The flat ``(members, indptr)`` CSR pair holding *sets* in order,
+    the one batch shape samplers produce and collections ingest."""
+    arrays = [np.asarray(s, dtype=np.int64) for s in sets]
+    indptr = np.concatenate(([0], np.cumsum([a.size for a in arrays]))).astype(np.int64)
+    members = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+    return members, indptr
 
 
 @pytest.fixture

@@ -32,6 +32,34 @@ class TestParser:
             main([command, "--workers", "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["tightness", *flag] for flag in (
+                ["--eps", "0.01"], ["--theta-cap", "5"], ["--n", "3"],
+                ["--h", "9"], ["--seed", "1"], ["--grid", "paper"],
+            )),
+            *(["table", "--which", "2", *flag] for flag in (
+                ["--eps", "0.01"], ["--theta-cap", "5"], ["--h", "9"],
+                ["--seed", "1"], ["--grid", "paper"],
+            )),
+            *(["datasets", *flag] for flag in (
+                ["--h", "9"], ["--eps", "0.01"], ["--seed", "1"], ["--grid", "paper"],
+            )),
+            ["serve", "--n", "3"],
+            ["serve", "--h", "9"],
+            ["serve", "--grid", "paper"],
+            ["run", "--dataset", "epinions_syn", "--grid", "paper"],
+        ],
+        ids=" ".join,
+    )
+    def test_flags_rejected_where_ignored(self, argv):
+        """Each sizing, accuracy and grid flag exists only on the
+        commands that read it; elsewhere it is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_datasets_listing(self, capsys):

@@ -354,6 +354,10 @@ class TestSpecValidation:
             {"config": {"theta_cap": 0}},
             {"config": {"opt_lower_mode": "bogus"}},
             {"config": {"grid_mode": "nope"}},
+            # Keys no cell reads: they would fork spec_key for nothing.
+            {"config": {"singleton_rr_samples": "x"}},
+            {"config": {"scalability_window": 0}},
+            {"config": {"grid_mode": "paper"}},
             {"config": []},
             {"datasets": {"name": "epinions_syn"}},
             {"datasets": ["epinions_syn"]},

@@ -5,9 +5,12 @@ Exercises the fault-tolerance contract of docs/ARCHITECTURE.md §11 with
 
 * a worker killed mid-batch is respawned and the batch's output stays
   bit-identical per ``(seed, workers)``;
-* a pool past its respawn budget — or whose shared memory cannot be
-  created — degrades the backend to in-process execution of the same
-  shard plan, still bit-identical;
+* a pool past its respawn budget degrades its backends to in-process
+  execution of the same shard plan, still bit-identical;
+* a pool whose shared memory cannot be created degrades
+  ``EngineWarmState.make_sampler`` the same way, and a state whose pool
+  failed never builds another — sessions report it on every later
+  solve;
 * a hung worker (injected shard delay) trips the heartbeat supervisor;
 * grid cells that raise or time out are quarantined as typed manifest
   rows, retried with backoff, and re-attempted on resume;
@@ -27,13 +30,17 @@ import sys
 import numpy as np
 import pytest
 
+from repro.api import EngineSpec
+from repro.api.session import AllocationSession
+from repro.core.ti_engine import EngineWarmState
 from repro.errors import (
     CellTimeoutError,
+    EstimationError,
     FaultInjectedError,
     PoolDegradedError,
     SpecError,
-    WorkerCrashError,
 )
+from repro.experiments.datasets import build_dataset
 from repro.experiments.grid import (
     GridSpec,
     clear_grid_caches,
@@ -161,45 +168,52 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 # Worker supervision
 # ----------------------------------------------------------------------
-class TestWorkerSupervision:
-    def _healthy(self, mid_graph, count=400, seed=21):
-        g, probs = mid_graph
-        with ParallelBackend(g, probs, workers=POOL_WORKERS) as backend:
-            return backend.sample_batch_flat(count, np.random.default_rng(seed))
+def _healthy(mid_graph, count=400, seed=21):
+    """The reference batch: a fault-free pool's output for *seed*."""
+    g, probs = mid_graph
+    with SharedGraphPool(g, POOL_WORKERS) as pool:
+        backend = ParallelBackend(g, probs, pool=pool)
+        return backend.sample_batch_flat(count, np.random.default_rng(seed))
 
+
+def _assert_same_batch(a, b):
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+
+
+class TestWorkerSupervision:
     def test_killed_worker_respawns_bit_identically(self, mid_graph):
         g, probs = mid_graph
-        reference = self._healthy(mid_graph)
+        reference = _healthy(mid_graph)
         plan = FaultPlan([FaultRule(seam="worker.kill", at=0)])
-        with ParallelBackend(
-            g, probs, workers=POOL_WORKERS, faults=plan
-        ) as backend:
-            out = backend.sample_batch_flat(400, np.random.default_rng(21))
-            assert not backend.degraded
-            assert backend.fault_counters["worker_respawns"] >= 1
-            assert backend.fault_counters["shards_recovered"] >= 1
-            assert backend.fault_counters["pool_degraded"] == 0
+        with SharedGraphPool(g, POOL_WORKERS, faults=plan) as pool:
+            out = ParallelBackend(g, probs, pool=pool).sample_batch_flat(
+                400, np.random.default_rng(21)
+            )
+            assert not pool.failed
+            assert pool.counters["worker_respawns"] >= 1
+            assert pool.counters["shards_recovered"] >= 1
+            assert pool.counters["pool_degraded"] == 0
         assert plan.stats["worker.kill"]["fired"] == 1
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
+        _assert_same_batch(reference, out)
 
     def test_respawn_budget_exhaustion_degrades_bit_identically(self, mid_graph):
         g, probs = mid_graph
-        reference = self._healthy(mid_graph)
+        reference = _healthy(mid_graph)
         # Every dispatched shard is killed, so the pool burns through its
         # respawn budget and must declare itself unrecoverable.
         plan = FaultPlan([FaultRule(seam="worker.kill", at=0, count=10_000)])
-        with ParallelBackend(
-            g, probs, workers=POOL_WORKERS, faults=plan
-        ) as backend:
+        with SharedGraphPool(g, POOL_WORKERS, faults=plan) as pool:
+            backend = ParallelBackend(g, probs, pool=pool)
             out = backend.sample_batch_flat(400, np.random.default_rng(21))
-            assert backend.degraded
-            assert backend.fault_counters["pool_degraded"] == 1
-            # Degraded mode keeps working (and stays deterministic).
+            assert pool.failed
+            assert pool.counters["pool_degraded"] == 1
+            # Degraded mode keeps working, stays deterministic, and
+            # counts the degradation once.
             again = backend.sample_batch_flat(400, np.random.default_rng(21))
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
-        assert np.array_equal(out[0], again[0])
+            assert pool.counters["pool_degraded"] == 1
+        _assert_same_batch(reference, out)
+        _assert_same_batch(out, again)
 
     def test_failed_pool_raises_for_other_users(self, mid_graph):
         g, probs = mid_graph
@@ -213,28 +227,81 @@ class TestWorkerSupervision:
             with pytest.raises(PoolDegradedError):
                 pool.sample_shards(name, [5, 5], seqs)
             assert pool.failed
-            # A failed pool refuses new batches instead of hanging.
+            # A failed pool refuses new batches and new probability
+            # vectors instead of hanging or creating blocks.
             with pytest.raises(PoolDegradedError):
                 pool.sample_shards(name, [5, 5], seqs)
+            with pytest.raises(PoolDegradedError):
+                pool.register_probs(probs * 0.5)
         finally:
             pool.close()
 
     def test_shm_attach_failure_degrades_to_serial_plan(self, mid_graph):
+        """A pool that cannot be built degrades ``make_sampler``: one
+        ``pool_degraded``, no pool, and a healthy pool's exact output."""
         g, probs = mid_graph
-        reference = self._healthy(mid_graph)
-        plan = FaultPlan([FaultRule(seam="shm.attach", at=0)])
-        with ParallelBackend(
-            g, probs, workers=POOL_WORKERS, faults=plan
-        ) as backend:
-            assert backend.degraded
-            assert backend.fault_counters["pool_degraded"] == 1
+        reference = _healthy(mid_graph)
+        warm = EngineWarmState()
+        try:
+            with fault_plan(FaultPlan([FaultRule(seam="shm.attach", at=0)])):
+                backend = warm.make_sampler(g, probs, POOL_WORKERS)
+                other = warm.make_sampler(g, probs * 0.5, POOL_WORKERS)
+            assert warm.degraded and warm.pool is None
+            assert warm.counters["pool_degraded"] == 1
+            assert isinstance(other, ParallelBackend)
             out = backend.sample_batch_flat(400, np.random.default_rng(21))
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
+        finally:
+            warm.close()
+        _assert_same_batch(reference, out)
+
+    def test_unpublishable_probs_fail_the_pool(self, mid_graph):
+        """A probability block that cannot be created fails the whole
+        pool, so the state's one predicate sees it; the batch still
+        equals a healthy pool's."""
+        g, probs = mid_graph
+        reference = _healthy(mid_graph)
+        warm = EngineWarmState()
+        try:
+            # Arrivals 0 and 1 are the pool's topology blocks; 2 is the
+            # first probability vector.
+            with fault_plan(FaultPlan([FaultRule(seam="shm.attach", at=2)])):
+                backend = warm.make_sampler(g, probs, POOL_WORKERS)
+                assert warm.pool is not None and not warm.degraded
+                out = backend.sample_batch_flat(400, np.random.default_rng(21))
+            assert warm.pool.failed and warm.degraded
+            assert warm.counters["pool_degraded"] == 1
+        finally:
+            warm.close()
+        _assert_same_batch(reference, out)
+
+    def test_failed_pool_is_never_rebuilt(self, mid_graph):
+        """After a pool has failed, the next sampler starts degraded and
+        builds no pool — also after ``close_pool``, as a graph mutation
+        calls it."""
+        g, probs = mid_graph
+        reference = _healthy(mid_graph)
+        warm = EngineWarmState()
+        try:
+            plan = FaultPlan([FaultRule(seam="worker.kill", at=0, count=10_000)])
+            with fault_plan(plan):
+                first = warm.make_sampler(g, probs, POOL_WORKERS)
+                first.sample_batch_flat(50, np.random.default_rng(3))
+            assert warm.degraded and warm.pool.failed
+            warm.close_pool()
+            assert warm.degraded
+            live = set(backend_module._LIVE_POOLS)
+            later = warm.make_sampler(g, probs, POOL_WORKERS)
+            assert warm.pool is None
+            assert set(backend_module._LIVE_POOLS) <= live
+            out = later.sample_batch_flat(400, np.random.default_rng(21))
+            assert warm.counters["pool_degraded"] == 1
+        finally:
+            warm.close()
+        _assert_same_batch(reference, out)
 
     def test_hung_worker_trips_heartbeat(self, mid_graph):
         g, probs = mid_graph
-        reference = self._healthy(mid_graph)
+        reference = _healthy(mid_graph)
         plan = FaultPlan([FaultRule(seam="shard.delay", at=0, delay_s=5.0)])
         pool = SharedGraphPool(
             g,
@@ -247,19 +314,22 @@ class TestWorkerSupervision:
             backend = ParallelBackend(g, probs, pool=pool)
             out = backend.sample_batch_flat(400, np.random.default_rng(21))
             assert pool.counters["worker_respawns"] >= POOL_WORKERS
-            assert not backend.degraded
+            assert not pool.failed
         finally:
             pool.close()
-        assert np.array_equal(reference[0], out[0])
-        assert np.array_equal(reference[1], out[1])
+        _assert_same_batch(reference, out)
 
     def test_degraded_backend_close_is_idempotent(self, mid_graph):
         g, probs = mid_graph
-        plan = FaultPlan([FaultRule(seam="shm.attach", at=0)])
-        backend = ParallelBackend(g, probs, workers=POOL_WORKERS, faults=plan)
-        assert backend.degraded
+        warm = EngineWarmState()
+        with fault_plan(FaultPlan([FaultRule(seam="shm.attach", at=0)])):
+            backend = warm.make_sampler(g, probs, POOL_WORKERS)
+        assert warm.degraded
         backend.close()
         backend.close()
+        with pytest.raises(EstimationError):
+            backend.sample_batch_flat(5, np.random.default_rng(0))
+        warm.close()
 
     def test_session_stats_surface_fault_counters(self, mid_graph):
         from repro.api.session import AllocationSession
@@ -270,6 +340,42 @@ class TestWorkerSupervision:
             for key in FAULT_COUNTER_KEYS:
                 assert stats[key] == 0
             assert stats["pool_degraded_state"] is False
+
+
+class TestSessionDegradation:
+    """A ``workers >= 2`` session whose pool broke says so on every later
+    solve: ``extras["degraded"]`` and ``pool_degraded_state`` both read
+    ``EngineWarmState.degraded``."""
+
+    SPEC = EngineSpec(eps=0.8, theta_cap=400, workers=2, seed=3)
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        ds = build_dataset("epinions_syn", n=300, h=3, singleton_rr_samples=1000)
+        return ds.build_instance("linear", 1.0)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            FaultRule(seam="shm.attach", at=0),
+            FaultRule(seam="worker.kill", at=0, count=10_000),
+        ],
+        ids=["pool-build-fails", "pool-fails-mid-batch"],
+    )
+    def test_broken_pool_reported_on_later_solves(self, instance, rule):
+        with AllocationSession(instance.graph, spec=self.SPEC) as session:
+            with fault_plan(FaultPlan([rule])):
+                first = session.solve(instance, "TI-CSRM")
+            assert first.extras["degraded"]
+            stats = session.stats
+            assert stats["pool_degraded_state"] and not stats["pool_active"]
+            # No fault plan now: the next solve samples in-process.
+            later = session.solve(instance, "TI-CSRM", theta_cap=4000, eps=0.3)
+            after = session.stats
+            assert after["sets_sampled"] > stats["sets_sampled"]
+            assert later.extras["degraded"]
+            assert later.extras["fault_counters"]["pool_degraded"] == 0
+            assert after["pool_degraded_state"] and not after["pool_active"]
 
 
 class TestOrphanReaper:

@@ -7,6 +7,7 @@ from repro.diffusion.worlds import exact_spread
 from repro.graph.digraph import DiGraph
 from repro.rrset.collection import RRCollection
 from repro.rrset.sampler import RRSampler
+from tests.conftest import assert_within_se, flat_sets
 
 
 @st.composite
@@ -67,18 +68,19 @@ def test_exact_spread_submodular(graph_probs):
 @settings(max_examples=15, deadline=None)
 @given(tiny_weighted_graphs())
 def test_rr_estimator_tracks_exact_spread(graph_probs):
-    """n*F_R({u}) concentrates near sigma({u}) with a generous tolerance."""
+    """n*F_R({u}) from the batch sampler lies within MAX_SE binomial
+    standard errors of sigma({u}) for every node."""
     g, probs = graph_probs
-    sampler = RRSampler(g, probs)
-    rng = np.random.default_rng(0)
-    counts = np.zeros(g.n)
     samples = 4000
-    for _ in range(samples):
-        counts[sampler.sample(rng)] += 1
+    members, _ = RRSampler(g, probs).sample_batch_flat(
+        samples, np.random.default_rng(0)
+    )
+    # Members are unique within a set, so a bincount counts the sets
+    # each node hits.
+    counts = np.bincount(members, minlength=g.n)
     for u in range(g.n):
         estimate = g.n * counts[u] / samples
-        exact = exact_spread(g, probs, [u])
-        assert abs(estimate - exact) <= max(0.35, 0.25 * exact)
+        assert_within_se(estimate, exact_spread(g, probs, [u]), g.n, samples)
 
 
 @settings(max_examples=30, deadline=None)
@@ -93,7 +95,7 @@ def test_rr_estimator_tracks_exact_spread(graph_probs):
 def test_collection_counts_match_naive_recount(rr_sets, cover_node):
     """Residual counts always equal a from-scratch recount."""
     c = RRCollection(8)
-    c.add_sets([np.array(sorted(s)) for s in rr_sets])
+    c.add_sets_flat(*flat_sets(*(sorted(s) for s in rr_sets)))
     c.mark_covered_by(cover_node)
     naive = np.zeros(8, dtype=int)
     for sid, members in enumerate(rr_sets):

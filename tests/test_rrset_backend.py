@@ -2,14 +2,15 @@
 
 Covers the RNG-stream contract of ``repro.rrset.backend``:
 
-* ``SerialBackend`` is bit-identical to the bare ``RRSampler``;
-* the worker count alone picks the backend (``None``/0/1 serial, k >= 2
-  parallel), and a parallel backend needs at least two workers;
+* ``EngineWarmState.make_sampler`` is the one sampler factory: the
+  worker count alone picks the sampler (``None``/0/1 the serial
+  ``RRSampler``, k >= 2 a ``ParallelBackend`` on the state's one pool),
+  and a parallel backend needs at least two workers;
 * parallel output is reproducible for a fixed ``(seed, workers)`` pair;
 * the pool's shard merge equals a single-process run of the same shard
   plan (hypothesis-generated graphs);
-* the seam threads through the engine, the static oracle and the
-  singleton-spread pricer without changing semantics.
+* the seam threads through the engine and the static oracle without
+  changing semantics.
 
 The worker count for the cross-process tests honours
 ``REPRO_TEST_WORKERS`` (default 2) so CI can pin it explicitly.
@@ -23,14 +24,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.ti_engine import EngineWarmState
 from repro.errors import EstimationError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import powerlaw_configuration
 from repro.rrset.backend import (
     ParallelBackend,
-    SerialBackend,
     SharedGraphPool,
-    make_backend,
     merge_shards,
     shard_counts,
 )
@@ -111,8 +111,11 @@ class TestShardPlan:
 
 class TestSerialBitIdentity:
     def test_serial_backend_matches_bare_sampler(self, mid_graph):
+        """The serial sampler every solve gets is a bare RRSampler."""
         g, probs = mid_graph
-        a = SerialBackend(g, probs).sample_batch_flat(300, np.random.default_rng(9))
+        sampler = EngineWarmState().make_sampler(g, probs, None)
+        assert type(sampler) is RRSampler
+        a = sampler.sample_batch_flat(300, np.random.default_rng(9))
         b = RRSampler(g, probs).sample_batch_flat(300, np.random.default_rng(9))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
@@ -179,7 +182,7 @@ class TestParallelParity:
         """Parallel draws a different stream but the same distribution:
         mean set size over a large batch must agree with serial."""
         g, probs = mid_graph
-        serial = SerialBackend(g, probs)
+        serial = RRSampler(g, probs)
         parallel = ParallelBackend(g, probs, pool=shared_pool)
         ms, is_ = serial.sample_batch_flat(4000, np.random.default_rng(8))
         mp_, ip_ = parallel.sample_batch_flat(4000, np.random.default_rng(8))
@@ -229,19 +232,26 @@ def test_hypothesis_shard_plan_equivalence(data):
 
 
 class TestFactoryAndLifecycle:
-    def test_make_backend_specs(self, mid_graph):
-        """The worker count alone picks the backend."""
+    def test_make_sampler_specs(self, mid_graph):
+        """The worker count alone picks the sampler, and every parallel
+        sampler of a state runs on the state's one pool."""
         g, probs = mid_graph
-        for workers in (None, 0, 1):
-            assert isinstance(make_backend(g, probs, workers=workers), SerialBackend)
-        b = make_backend(g, probs, workers=WORKERS)
+        warm = EngineWarmState()
         try:
-            assert isinstance(b, ParallelBackend)
-            assert b.workers == WORKERS
+            for workers in (None, 0, 1):
+                assert type(warm.make_sampler(g, probs, workers)) is RRSampler
+            assert warm.pool is None  # serial samplers build no pool
+            first = warm.make_sampler(g, probs, WORKERS)
+            pool = warm.pool
+            second = warm.make_sampler(g, probs * 0.5, WORKERS)
+            assert warm.pool is pool and pool.workers == WORKERS
+            for sampler in (first, second):
+                assert isinstance(sampler, ParallelBackend)
+                assert sampler._pool is pool and sampler.workers == WORKERS
+            with pytest.raises(EstimationError):
+                warm.make_sampler(g, probs, -1)
         finally:
-            b.close()
-        with pytest.raises(EstimationError):
-            make_backend(g, probs, workers=-1)
+            warm.close()
 
     @pytest.mark.parametrize("workers", [None, 0, 1])
     def test_parallel_backend_needs_two_workers(self, mid_graph, workers):
@@ -266,6 +276,8 @@ class TestFactoryAndLifecycle:
         pool.close()  # idempotent
         with pytest.raises(EstimationError):
             backend.sample_batch_flat(10, np.random.default_rng(0))
+        with pytest.raises(EstimationError):  # no block after close
+            pool.register_probs(probs * 0.5)
 
     def test_backend_close_raises_on_use(self, mid_graph):
         """A closed backend must raise, not silently fall back to the
@@ -323,31 +335,6 @@ class TestSeamConsumers:
                 assert serial.allocation.seeds(i) == one.allocation.seeds(i)
             assert serial.revenue_per_ad == one.revenue_per_ad
             assert one.extras["workers"] is None  # the serial sampler ran
-
-    def test_singleton_spreads_backend_param(self, mid_graph, shared_pool):
-        from repro.diffusion.montecarlo import estimate_singleton_spreads_rr
-
-        g, probs = mid_graph
-        serial_default = estimate_singleton_spreads_rr(
-            g, probs, n_samples=2000, rng=np.random.default_rng(6)
-        )
-        serial_explicit = estimate_singleton_spreads_rr(
-            g,
-            probs,
-            n_samples=2000,
-            rng=np.random.default_rng(6),
-            backend=SerialBackend(g, probs),
-        )
-        assert np.array_equal(serial_default, serial_explicit)
-        parallel = estimate_singleton_spreads_rr(
-            g,
-            probs,
-            n_samples=2000,
-            rng=np.random.default_rng(6),
-            backend=ParallelBackend(g, probs, pool=shared_pool),
-        )
-        # Different stream, same estimand: close in aggregate.
-        assert parallel.mean() == pytest.approx(serial_default.mean(), rel=0.2)
 
     def test_rr_static_oracle_backend_parity(self, mid_graph):
         from repro.core.instance import RMInstance

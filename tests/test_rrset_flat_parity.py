@@ -31,10 +31,11 @@ from repro.rrset.collection import (
     RRCollection,
     SharedRRCollection,
     SharedRRStore,
-    estimate_spread_from_sets,
+    estimate_spread_flat,
 )
 from repro.rrset.sampler import RRSampler
 from repro.topics.edge_probs import weighted_cascade
+from tests.conftest import flat_sets
 
 
 # ----------------------------------------------------------------------
@@ -172,15 +173,6 @@ class TestSamplerParity:
                         stack.append(int(u))
             assert set(rr.tolist()) <= closure
 
-    def test_batch_list_wrapper_matches_flat(self):
-        g = erdos_renyi(20, 0.2, seed=6)
-        sampler = RRSampler(g, np.full(g.m, 0.4))
-        flat_m, flat_i = sampler.sample_batch_flat(15, np.random.default_rng(13))
-        as_list = sampler.sample_batch(15, np.random.default_rng(13))
-        assert len(as_list) == 15
-        for k, rr in enumerate(as_list):
-            assert rr.tolist() == flat_m[flat_i[k] : flat_i[k + 1]].tolist()
-
 
 # ----------------------------------------------------------------------
 # 2. Collection parity against a naive reference (legacy semantics)
@@ -249,7 +241,7 @@ def test_flat_collection_matches_naive(rr_sets, seeds, cover_nodes):
     arrays = [np.asarray(sorted(s), dtype=np.int64) for s in rr_sets]
     flat = RRCollection(8)
     naive = NaiveCollection(8)
-    assert flat.add_sets(arrays, seeds=list(seeds)) == naive.add_sets(
+    assert flat.add_sets_flat(*flat_sets(*arrays), seeds=list(seeds)) == naive.add_sets(
         arrays, seeds=list(seeds)
     )
     for node in cover_nodes:
@@ -280,24 +272,24 @@ def test_shared_adopt_matches_private_add(rr_sets, seeds, cover_node, split):
     arrays = [np.asarray(sorted(s), dtype=np.int64) for s in rr_sets]
     split = min(split, len(arrays))
     store = SharedRRStore(8)
-    store.extend(arrays)
+    store.extend_flat(*flat_sets(*arrays))
     view = SharedRRCollection(store)
     private = RRCollection(8)
     view.adopt(split, seeds=list(seeds))
-    private.add_sets(arrays[:split], seeds=list(seeds))
+    private.add_sets_flat(*flat_sets(*arrays[:split]), seeds=list(seeds))
     assert view.mark_covered_by(cover_node) == private.mark_covered_by(cover_node)
     view.adopt(len(arrays), seeds=list(seeds))
-    private.add_sets(arrays[split:], seeds=list(seeds))
+    private.add_sets_flat(*flat_sets(*arrays[split:]), seeds=list(seeds))
     assert view.counts.tolist() == private.counts.tolist()
     assert view.covered_total == private.covered_total
     assert view.theta == private.theta
 
 
-def test_estimate_spread_from_sets_matches_naive():
-    rr = [np.array([0, 1]), np.array([2]), np.array([0, 3])]
-    assert estimate_spread_from_sets(rr, [0], 4) == pytest.approx(4 * 2 / 3)
-    assert estimate_spread_from_sets(rr, [1, 2], 4) == pytest.approx(4 * 2 / 3)
-    assert estimate_spread_from_sets(rr, [5], 4) == 0.0
+def test_estimate_spread_flat_matches_naive():
+    rr = flat_sets([0, 1], [2], [0, 3])
+    assert estimate_spread_flat(*rr, [0], 4) == pytest.approx(4 * 2 / 3)
+    assert estimate_spread_flat(*rr, [1, 2], 4) == pytest.approx(4 * 2 / 3)
+    assert estimate_spread_flat(*rr, [5], 4) == 0.0
 
 
 # ----------------------------------------------------------------------

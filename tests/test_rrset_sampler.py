@@ -1,4 +1,8 @@
-"""Tests for RR-set sampling, including unbiasedness against exact spread."""
+"""Tests for RR-set sampling, including unbiasedness against exact spread.
+
+Every check draws through :meth:`RRSampler.sample_batch_flat`, the
+sampler every solve uses.
+"""
 
 import numpy as np
 import pytest
@@ -7,37 +11,42 @@ from repro.errors import EstimationError
 from repro.diffusion.worlds import exact_spread
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
+from repro.rrset.collection import estimate_spread_flat
 from repro.rrset.sampler import RRSampler
+from tests.conftest import assert_within_se
+
+
+def split(members, indptr):
+    """The sets of a flat batch as lists of node ids."""
+    return [members[indptr[k] : indptr[k + 1]].tolist() for k in range(indptr.size - 1)]
 
 
 class TestSamplerBasics:
     def test_target_always_member(self, path_graph, rng):
         sampler = RRSampler(path_graph, np.full(path_graph.m, 0.5))
-        for _ in range(20):
-            rr = sampler.sample(rng, target=2)
-            assert 2 in rr.tolist()
+        sets = split(*sampler.sample_batch_flat(20, rng, roots=np.full(20, 2)))
+        assert all(rr[0] == 2 for rr in sets)
 
     def test_zero_probs_give_singletons(self, path_graph, rng):
         sampler = RRSampler(path_graph, np.zeros(path_graph.m))
-        for _ in range(10):
-            assert sampler.sample(rng).size == 1
+        _, indptr = sampler.sample_batch_flat(10, rng)
+        assert np.diff(indptr).tolist() == [1] * 10
 
     def test_deterministic_graph_full_ancestry(self, path_graph, rng):
         sampler = RRSampler(path_graph, np.ones(path_graph.m))
-        rr = sampler.sample(rng, target=3)
-        assert sorted(rr.tolist()) == [0, 1, 2, 3]
+        (rr,) = split(*sampler.sample_batch_flat(1, rng, roots=[3]))
+        assert sorted(rr) == [0, 1, 2, 3]
 
     def test_members_unique(self, rng):
         g = erdos_renyi(30, 0.2, seed=1)
         sampler = RRSampler(g, np.full(g.m, 0.5))
-        for _ in range(30):
-            rr = sampler.sample(rng)
-            assert len(set(rr.tolist())) == rr.size
+        for rr in split(*sampler.sample_batch_flat(30, rng)):
+            assert len(set(rr)) == len(rr)
 
     def test_invalid_target(self, path_graph, rng):
         sampler = RRSampler(path_graph, np.ones(path_graph.m))
         with pytest.raises(EstimationError):
-            sampler.sample(rng, target=99)
+            sampler.sample_batch_flat(1, rng, roots=[99])
 
     def test_probability_validation(self, path_graph):
         with pytest.raises(EstimationError):
@@ -48,48 +57,47 @@ class TestSamplerBasics:
     def test_empty_graph_rejected(self):
         g = DiGraph(0, [], [])
         with pytest.raises(EstimationError):
-            RRSampler(g, np.empty(0)).sample()
+            RRSampler(g, np.empty(0)).sample_batch_flat(1)
 
     def test_batch_count(self, path_graph, rng):
         sampler = RRSampler(path_graph, np.ones(path_graph.m))
-        assert len(sampler.sample_batch(17, rng)) == 17
+        _, indptr = sampler.sample_batch_flat(17, rng)
+        assert indptr.size == 18
         with pytest.raises(EstimationError):
-            sampler.sample_batch(-1)
+            sampler.sample_batch_flat(-1)
 
 
 class TestWidth:
-    def test_width_counts_in_edges_of_members(self, path_graph, rng):
-        sampler = RRSampler(path_graph, np.ones(path_graph.m))
-        members, width = sampler.sample_with_width(rng)
+    def test_width_counts_in_edges_of_members(self, path_graph):
+        sampler = RRSampler(path_graph, np.full(path_graph.m, 0.7))
+        sets = split(*sampler.sample_batch_flat(12, np.random.default_rng(5)))
+        widths = sampler.sample_batch_widths(12, np.random.default_rng(5))
         # Width = number of arcs into the RR set's members.
-        expected = sum(path_graph.in_neighbors(v).size for v in members)
-        assert width == expected
+        expected = [sum(path_graph.in_neighbors(v).size for v in rr) for rr in sets]
+        assert widths.tolist() == expected
 
 
 class TestUnbiasedness:
-    """n * E[S hits R] must equal sigma(S) (Borgs et al.)."""
+    """``n · F_R(S)`` must estimate ``σ(S)`` without bias (Borgs et al.).
+
+    Each estimate must lie within ``MAX_SE`` binomial standard errors of
+    the exact possible-world spread.
+    """
+
+    @staticmethod
+    def check(graph, probs, seeds, samples, seed):
+        sampler = RRSampler(graph, probs)
+        members, indptr = sampler.sample_batch_flat(samples, np.random.default_rng(seed))
+        estimate = estimate_spread_flat(members, indptr, seeds, graph.n)
+        exact = exact_spread(graph, probs, seeds)
+        assert_within_se(estimate, exact, graph.n, samples)
 
     @pytest.mark.parametrize("p", [0.2, 0.6])
     def test_singleton_estimate_matches_exact(self, diamond_graph, p):
-        probs = np.full(diamond_graph.m, p)
-        sampler = RRSampler(diamond_graph, probs)
-        rng = np.random.default_rng(42)
-        hits = sum(0 in sampler.sample(rng) for _ in range(20000))
-        estimate = diamond_graph.n * hits / 20000
-        exact = exact_spread(diamond_graph, probs, [0])
-        assert estimate == pytest.approx(exact, rel=0.06)
+        self.check(diamond_graph, np.full(diamond_graph.m, p), [0], 20000, 42)
 
     def test_pair_estimate_matches_exact(self, diamond_graph):
-        probs = np.full(diamond_graph.m, 0.5)
-        sampler = RRSampler(diamond_graph, probs)
-        rng = np.random.default_rng(43)
-        seeds = {1, 2}
-        hits = sum(
-            bool(seeds & set(sampler.sample(rng).tolist())) for _ in range(20000)
-        )
-        estimate = diamond_graph.n * hits / 20000
-        exact = exact_spread(diamond_graph, probs, [1, 2])
-        assert estimate == pytest.approx(exact, rel=0.06)
+        self.check(diamond_graph, np.full(diamond_graph.m, 0.5), [1, 2], 20000, 43)
 
     def test_unbiased_on_random_graph(self):
         g = erdos_renyi(12, 0.25, seed=2)
@@ -97,12 +105,4 @@ class TestUnbiasedness:
         probs = np.where(np.arange(g.m) % 3 == 0, 0.5, 0.0)
         if (probs > 0).sum() > 18:
             probs[18 * 3 :] = 0.0
-        sampler = RRSampler(g, probs)
-        rng = np.random.default_rng(44)
-        seeds = [0, 5]
-        hits = sum(
-            bool(set(seeds) & set(sampler.sample(rng).tolist())) for _ in range(30000)
-        )
-        estimate = g.n * hits / 30000
-        exact = exact_spread(g, probs, seeds)
-        assert estimate == pytest.approx(exact, rel=0.08)
+        self.check(g, probs, [0, 5], 30000, 44)

@@ -5,16 +5,13 @@ import pytest
 
 from repro.errors import EstimationError
 from repro.rrset.collection import RRCollection, SharedRRCollection, SharedRRStore
-
-
-def sets(*lists):
-    return [np.asarray(x, dtype=np.int64) for x in lists]
+from tests.conftest import flat_sets as sets
 
 
 class TestStore:
     def test_extend_and_index(self):
         store = SharedRRStore(4)
-        store.extend(sets([0, 1], [1, 2]))
+        store.extend_flat(*sets([0, 1], [1, 2]))
         assert store.size == 2
         assert store.sets_containing(1).tolist() == [0, 1]
         assert store.sets_containing(3).tolist() == []
@@ -23,7 +20,7 @@ class TestStore:
     def test_out_of_range_rejected(self):
         store = SharedRRStore(3)
         with pytest.raises(EstimationError):
-            store.extend(sets([0, 7]))
+            store.extend_flat(*sets([0, 7]))
 
     def test_invalid_n(self):
         with pytest.raises(EstimationError):
@@ -31,7 +28,7 @@ class TestStore:
 
     def test_memory_counts_sets_and_index_once(self):
         store = SharedRRStore(5)
-        store.extend(sets([0, 1, 2]))
+        store.extend_flat(*sets([0, 1, 2]))
         # 3 members at the narrowed width + 3 int64 index entries.
         assert store.members.dtype == np.int16
         assert store.memory_bytes() == 3 * store.members.itemsize + 3 * 8
@@ -43,11 +40,11 @@ class TestSharedCollection:
         RRCollection fed the same sets."""
         rr = sets([0, 1], [1, 2], [2, 3], [3])
         store = SharedRRStore(4)
-        store.extend(rr)
+        store.extend_flat(*rr)
         view = SharedRRCollection(store)
         view.adopt(4)
         private = RRCollection(4)
-        private.add_sets(rr)
+        private.add_sets_flat(*rr)
 
         assert view.counts.tolist() == private.counts.tolist()
         allowed = np.ones(4, dtype=bool)
@@ -62,7 +59,7 @@ class TestSharedCollection:
 
     def test_views_are_independent(self):
         store = SharedRRStore(3)
-        store.extend(sets([0, 1], [1, 2]))
+        store.extend_flat(*sets([0, 1], [1, 2]))
         a = SharedRRCollection(store)
         b = SharedRRCollection(store)
         a.adopt(2)
@@ -74,7 +71,7 @@ class TestSharedCollection:
 
     def test_partial_adoption(self):
         store = SharedRRStore(3)
-        store.extend(sets([0], [1], [2]))
+        store.extend_flat(*sets([0], [1], [2]))
         view = SharedRRCollection(store)
         view.adopt(2)
         assert view.theta == 2
@@ -84,7 +81,7 @@ class TestSharedCollection:
 
     def test_adopt_with_seeds_absorbs(self):
         store = SharedRRStore(3)
-        store.extend(sets([0, 1], [2]))
+        store.extend_flat(*sets([0, 1], [2]))
         view = SharedRRCollection(store)
         absorbed = view.adopt(2, seeds=[0])
         assert absorbed == 1
@@ -100,11 +97,11 @@ class TestSharedCollection:
     def test_ratio_selection_matches_private(self):
         rr = sets([0], [0], [1], [2, 0])
         store = SharedRRStore(3)
-        store.extend(rr)
+        store.extend_flat(*rr)
         view = SharedRRCollection(store)
         view.adopt(4)
         private = RRCollection(3)
-        private.add_sets(rr)
+        private.add_sets_flat(*rr)
         costs = np.array([5.0, 0.5, 1.0])
         allowed = np.ones(3, dtype=bool)
         assert view.best_node_by_ratio(costs, allowed) == private.best_node_by_ratio(
@@ -116,7 +113,7 @@ class TestSharedCollection:
 
     def test_overlay_memory_small(self):
         store = SharedRRStore(100)
-        store.extend(sets(*[[i % 100] for i in range(50)]))
+        store.extend_flat(*sets(*[[i % 100] for i in range(50)]))
         view = SharedRRCollection(store)
         view.adopt(50)
         # Overlay = covered flags + counts vector only.

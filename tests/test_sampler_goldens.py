@@ -294,8 +294,6 @@ class TestDegenerateGraphs:
         with pytest.raises(EstimationError):
             ParallelBackend(empty, np.zeros(0), workers=2)
         with pytest.raises(EstimationError):
-            RRSampler(empty, np.zeros(0)).sample(np.random.default_rng(0))
-        with pytest.raises(EstimationError):
             _batch(empty, np.zeros(0), 3, 0)
 
     def test_single_node_graph(self):
