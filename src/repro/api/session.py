@@ -189,12 +189,18 @@ class AllocationSession:
           redrawn on the new graph from its recorded root (the pinned
           ``roots`` path through the batch sampler), continuing the
           store's persisted RNG stream; surviving slots are untouched.
-          The root marginal therefore stays exactly uniform, and
-          survivors are exact draws from the new RR distribution (their
-          traversals flipped no changed coin).  For pure
+          The root marginal therefore stays exactly uniform, and each
+          survivor's traversal flipped no changed coin.  For pure
           probability-*decrease* batches the surviving slots are
           bit-identical in membership to a same-seed cold store on the
           pre-update graph — the differential tests pin both claims.
+        * **The repair is biased.**  Survivors are draws conditioned on
+          missing every changed head, while redrawn slots are not, so
+          the repaired store is not a sample of the new RR
+          distribution: a changed head ``v`` keeps about
+          ``Σ_r P(v ∈ RR(r))²`` of its expected coverage instead of
+          ``Σ_r P(v ∈ RR(r))`` (docs/ARCHITECTURE.md §14, G1; ROADMAP
+          item 10).
         * **Everything graph-shaped rolls over.**  The worker pool
           (whose shared-memory CSR describes the old graph) is closed
           and rebuilt, per-family samplers are rebuilt on the new

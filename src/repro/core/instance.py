@@ -53,14 +53,17 @@ class RMInstance:
                 raise InstanceError(
                     f"ad {i}: probabilities must have shape ({graph.m},), got {probs.shape}"
                 )
-            if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+            # Elementwise, so NaN fails too (min()/max() let it pass).
+            if not ((probs >= 0.0) & (probs <= 1.0)).all():
                 raise InstanceError(f"ad {i}: probabilities must lie in [0, 1]")
             if costs.shape != (graph.n,):
                 raise InstanceError(
                     f"ad {i}: incentives must have shape ({graph.n},), got {costs.shape}"
                 )
-            if costs.size and costs.min() < 0.0:
-                raise InstanceError(f"ad {i}: incentives must be non-negative")
+            if not (np.isfinite(costs) & (costs >= 0.0)).all():
+                raise InstanceError(
+                    f"ad {i}: incentives must be finite and non-negative"
+                )
             if costs.size and costs.min() > advertisers[i].budget:
                 raise InstanceError(
                     f"ad {i}: no node's incentive fits the budget "

@@ -307,6 +307,8 @@ class _AdState:
         "cand_node",
         "cand_rev",
         "cand_fresh",
+        "payment",
+        "budget_cap",
     )
 
     def __init__(self) -> None:
@@ -325,6 +327,10 @@ class _AdState:
         self.cand_node: int | None = None
         self.cand_rev = 0.0
         self.cand_fresh = False
+        # _payment(ad), refreshed after each of the ad's wins (the only
+        # events that move it), and the budget plus slack it is held to.
+        self.payment = 0.0
+        self.budget_cap = 0.0
 
 
 class TIEngine:
@@ -379,6 +385,7 @@ class TIEngine:
         self.algorithm_name = algorithm_name or f"TI[{rule_name}/{selector_name}]"
         self._states: list[_AdState] = []
         self._assigned: np.ndarray | None = None
+        self._allowed: np.ndarray | None = None  # ~_assigned, kept per win
         self._rr_cursor = 0  # round-robin pointer
 
     # ------------------------------------------------------------------
@@ -460,6 +467,7 @@ class TIEngine:
         self._assigned = (
             self.blocked.copy() if self.blocked is not None else np.zeros(n, dtype=bool)
         )
+        self._allowed = ~self._assigned
         rngs = spawn(self.rng, h)
         self._states = []
         # Ads with one group key share one sampler, RNG stream, KPT
@@ -510,6 +518,8 @@ class TIEngine:
             if self.candidate_rule == "pagerank":
                 state.pr_order = warm.pagerank_order(inst.graph, inst.ad_probs[ad])
             self._states.append(state)
+            state.payment = self._payment(ad)
+            state.budget_cap = inst.budget(ad) + _BUDGET_SLACK
 
     def _adopt(self, state: _AdState, theta: int) -> None:
         """Grow the ad's view to *theta* sets, sampling only past the store's end.
@@ -543,7 +553,7 @@ class TIEngine:
             if state.pr_ptr >= order.size:
                 return None
             return int(order[state.pr_ptr])
-        allowed = ~self._assigned
+        allowed = self._allowed
         if self.candidate_rule == "ca":
             node = state.collection.best_node(allowed)
             if node is not None and state.collection.residual_count(node) == 0:
@@ -596,7 +606,7 @@ class TIEngine:
     def _grow(self, ad: int) -> None:
         state = self._states[ad]
         inst = self.instance
-        f_max = state.collection.max_residual_fraction(~self._assigned)
+        f_max = state.collection.max_residual_fraction(self._allowed)
         s_new = next_seed_size(
             state.s_est,
             inst.budget(ad),
@@ -666,7 +676,7 @@ class TIEngine:
                     continue
                 marg_rev = state.cand_rev
                 marg_pay = marg_rev + inst.incentive(ad, node)
-                if self._payment(ad) + marg_pay > inst.budget(ad) + _BUDGET_SLACK:
+                if state.payment + marg_pay > state.budget_cap:
                     continue  # infeasible this round; the ad stalls
                 candidates.append((ad, node, marg_rev, marg_pay))
 
@@ -677,11 +687,13 @@ class TIEngine:
             state = self._states[ad]
             allocation.add(node, ad)
             self._assigned[node] = True
+            self._allowed[node] = False
             state.seeds.append(node)
             state.seed_cost += inst.incentive(ad, node)
             state.collection.mark_covered_by(node)
             if len(state.seeds) == state.s_est and not state.done:
                 self._grow(ad)
+            state.payment = self._payment(ad)
             # Invalidate exactly the caches the win could have changed:
             # the winner's (counts/θ moved) and any ad whose cached
             # candidate node was just assigned.

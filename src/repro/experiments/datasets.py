@@ -464,6 +464,16 @@ def build_dataset(name: str, **kwargs) -> Dataset:
     return _CACHE[key]
 
 
+def forget_dataset(dataset: Dataset) -> None:
+    """Drop *dataset* from the build cache; a later build makes a new one.
+
+    Called when the dataset's last user goes away (a serve pool evicting
+    its session), so the cache does not hold it for the process's life.
+    """
+    for key in [k for k, cached in _CACHE.items() if cached is dataset]:
+        del _CACHE[key]
+
+
 def clear_dataset_cache() -> None:
     """Drop all cached datasets (tests use this for isolation)."""
     _CACHE.clear()

@@ -43,8 +43,9 @@ Fault tolerance (docs/ARCHITECTURE.md §11):
   Because every shard carries its own :class:`~numpy.random.SeedSequence`,
   a re-executed shard reproduces the lost result bit for bit, so
   recovery never changes the ``(seed, workers)`` output contract.
-* Past its respawn budget (``max_respawns``), or when it cannot create
-  a probability block, the pool *fails*: it closes itself and raises
+* Past its respawn budget (``max_respawns``), when a replacement
+  worker cannot start, or when it cannot create a probability block,
+  the pool *fails*: it closes itself and raises
   :class:`~repro.errors.PoolDegradedError`, and :attr:`SharedGraphPool.failed`
   turns True.  :class:`ParallelBackend` catches that and **degrades**
   to in-process serial execution of the *same shard plan*: still
@@ -423,7 +424,10 @@ class SharedGraphPool:
             ),
             daemon=True,
         )
-        proc.start()
+        try:
+            proc.start()
+        except OSError as exc:  # e.g. EAGAIN under a process limit
+            raise WorkerCrashError(f"cannot start a worker process: {exc}") from exc
         self._procs.append(proc)
 
     # -- shared-memory bookkeeping -------------------------------------
@@ -589,7 +593,9 @@ class SharedGraphPool:
         """Replace *procs* and re-dispatch *missing_shards* (bounded).
 
         Raises :class:`~repro.errors.PoolDegradedError` — after closing
-        the pool — once the lifetime respawn budget is exhausted.
+        the pool — once the lifetime respawn budget is exhausted, or when
+        a replacement worker cannot start.  ``worker_respawns`` counts
+        the replacements that started.
         """
         needed = len(procs)
         if self._respawns_used + needed > self.max_respawns:
@@ -598,7 +604,6 @@ class SharedGraphPool:
                 f"budget {self.max_respawns} already spent {self._respawns_used}"
             )
         self._respawns_used += needed
-        self.counters["worker_respawns"] += needed
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
@@ -622,7 +627,11 @@ class SharedGraphPool:
             self._task_queue = self._ctx.Queue()
             self._result_queue = self._ctx.Queue()
         for _ in range(needed):
-            self._spawn_worker()
+            try:
+                self._spawn_worker()
+            except WorkerCrashError as exc:
+                self._fail(str(exc))
+            self.counters["worker_respawns"] += 1
         self.counters["shards_recovered"] += len(missing_shards)
         for shard in missing_shards:
             dispatch(shard)

@@ -391,8 +391,13 @@ def _best_by_ratio(
     """Shared Algorithm-5 argmax over residual counts / incentive costs."""
     if not allowed.any():
         return None
+    if window is None:
+        # Elementwise the same quotients as over the allowed subset, and
+        # argmax takes the first maximum either way: the same node.
+        ratios = counts / np.maximum(costs, 1e-12)
+        return int(np.where(allowed, ratios, -np.inf).argmax())
     candidate_idx = np.flatnonzero(allowed)
-    if window is not None and window < candidate_idx.size:
+    if window < candidate_idx.size:
         cand_counts = counts[candidate_idx]
         top = np.argpartition(-cand_counts, window - 1)[:window]
         candidate_idx = candidate_idx[top]
@@ -801,16 +806,24 @@ class SharedRRCollection:
         return float(np.where(allowed, self.counts, 0).max()) / self._adopted
 
     def mark_covered_by(self, node: int) -> int:
-        """Cover this ad's uncovered adopted sets containing *node*."""
+        """Cover this ad's uncovered adopted sets containing *node*.
+
+        The store's ids come ascending, so the adopted ones are a prefix
+        (the whole slice once the ad has adopted the whole store), and
+        the covered sets' members are decremented in place: O(members
+        covered), not O(n).
+        """
         ids = self.store.sets_containing(node)
-        ids = ids[ids < self._adopted]
+        if self._adopted < self.store.size:
+            ids = ids[: np.searchsorted(ids, self._adopted)]
         fresh = ids[~self.covered[ids]]
         if not fresh.size:
             return 0
         self.covered[fresh] = True
         self.covered_total += int(fresh.size)
         dead = _gather_segments(self.store.members, self.store.indptr, fresh)
-        self.counts -= np.bincount(dead, minlength=self.n_nodes)
+        # ufunc.at takes its fast path only for intp indices.
+        np.subtract.at(self.counts, dead.astype(np.intp), 1)
         return int(fresh.size)
 
     def memory_bytes(self) -> int:

@@ -30,11 +30,16 @@ pure function of ``n`` and ``count``, keeping seeded streams
 reproducible).  Lazy arc evaluation is preserved — each (set, arc) coin
 is flipped at most once, when the arc's head is first expanded in that
 set — so the sampling distribution is unchanged.  Complexity is
-O(total scanned arcs · log level-width) with O(chunk · n) scratch.
+O(total scanned arcs · log level-width).  The visited bitmap is kept
+per thread for the thread's life, grown to the largest ``chunk · n``
+it has sampled (so one chunk budget bounds it), and every call resets
+exactly the keys it set, also when it raises: no call allocates or
+zeroes a chunk-sized block.
 """
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -64,14 +69,15 @@ def validate_edge_probs(graph: DiGraph, probs) -> np.ndarray:
 
     Shared by both :class:`SamplerBackend` implementations so every
     entry point enforces the same contract (canonical edge order,
-    ``float64[m]``, values in [0, 1]).
+    ``float64[m]``, every value in [0, 1], so NaN is refused).
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (graph.m,):
         raise EstimationError(
             f"edge probabilities must have shape ({graph.m},), got {probs.shape}"
         )
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+    # Elementwise, so NaN fails too (min()/max() let it pass).
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
         raise EstimationError("edge probabilities must lie in [0, 1]")
     return probs
 
@@ -107,7 +113,7 @@ def batch_chunk_size(n: int, count: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES)
 
     A pure function of ``(n, count, chunk_bytes)`` so seeded streams stay
     reproducible across runs, machines and processes.  Known limitation:
-    the budget bounds only the O(chunk · n) visited bitmap; a BFS
+    the budget bounds only the chunk · n visited bitmap; a BFS
     level's transient gather arrays scale with the frontier's total
     in-degree, up to O(chunk · m) on dense-probability graphs.  The
     bound cannot be tightened here without changing the chunk split and
@@ -115,6 +121,31 @@ def batch_chunk_size(n: int, count: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES)
     intentional stream change.
     """
     return max(1, min(count, chunk_bytes // max(n, 1)))
+
+
+_PER_THREAD = threading.local()
+
+
+def _visited_bitmap(size: int) -> np.ndarray:
+    """This thread's visited bitmap, grown to at least *size* entries.
+
+    Kept for the thread's life and all False between kernel calls: each
+    call resets exactly the keys it set (:func:`_reset`), so no call pays
+    to allocate or zero a chunk-sized block.  Its length is the largest
+    ``chunk * n`` the thread has sampled, so one chunk budget bounds it.
+    """
+    bitmap = getattr(_PER_THREAD, "visited", None)
+    if bitmap is None or bitmap.size < size:
+        bitmap = np.zeros(size, dtype=bool)
+        _PER_THREAD.visited = bitmap
+    return bitmap
+
+
+def _reset(visited: np.ndarray, touched: list[np.ndarray]) -> None:
+    """Clear the *touched* keys in *visited* and forget them."""
+    for keys in touched:
+        visited[keys] = False
+    touched.clear()
 
 
 def sample_batch_flat_kernel(
@@ -162,50 +193,61 @@ def sample_batch_flat_kernel(
             raise EstimationError(f"roots must lie in [0, {n})")
 
     chunk = batch_chunk_size(n, count, chunk_bytes)
+    indeg = np.diff(in_indptr)
+    visited = _visited_bitmap(chunk * n)  # all False on entry and on exit
+    touched: list[np.ndarray] = []  # keys set in visited since the last reset
     member_sets: list[np.ndarray] = []  # global set id per member
     member_nodes: list[np.ndarray] = []
-    for c0 in range(0, count, chunk):
-        c1 = min(c0 + chunk, count)
-        csize = c1 - c0
-        # Per-(set, node) visited bitmap, flat-indexed set*n + node.
-        visited = np.zeros(csize * n, dtype=bool)
-        fsets = np.arange(csize, dtype=np.int64)
-        fnodes = roots[c0:c1]
-        visited[fsets * n + fnodes] = True
-        member_sets.append(fsets + c0)
-        member_nodes.append(fnodes.copy())
-        while fnodes.size:
-            degs = in_indptr[fnodes + 1] - in_indptr[fnodes]
-            total = int(degs.sum())
-            if total == 0:
-                break
-            # Ragged gather of every frontier node's in-arc slice.
-            starts = in_indptr[fnodes]
-            ends = np.cumsum(degs)
-            eidx = np.arange(total, dtype=np.int64) + np.repeat(
-                starts - (ends - degs), degs
-            )
-            esets = np.repeat(fsets, degs)
-            flips = rng.random(total) < probs_in[eidx]
-            cand_keys = esets[flips] * n + in_tails[eidx[flips]]
-            keys = cand_keys[~visited[cand_keys]]  # drop already-visited pairs
-            if not keys.size:
-                break
-            # Dedup within the level: sort, keep the first of each run of
-            # equal keys.  Same ascending unique keys as np.unique, without
-            # its hashing cost.
-            keys.sort()
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    try:
+        for c0 in range(0, count, chunk):
+            c1 = min(c0 + chunk, count)
+            # Per-(set, node) visited keys, flat-indexed set*n + node.
+            fsets = np.arange(c1 - c0, dtype=np.int64)
+            fnodes = roots[c0:c1]
+            keys = fsets * n + fnodes
+            touched.append(keys)
             visited[keys] = True
-            fsets = keys // n
-            fnodes = keys % n
             member_sets.append(fsets + c0)
-            member_nodes.append(fnodes)
+            member_nodes.append(fnodes.copy())
+            while fnodes.size:
+                degs = indeg[fnodes]
+                ends = np.cumsum(degs)
+                total = int(ends[-1])
+                if total == 0:
+                    break
+                # Ragged gather of every frontier node's in-arc slice.
+                eidx = np.repeat(in_indptr[fnodes] - (ends - degs), degs)
+                eidx += np.arange(total, dtype=np.int64)
+                hit = np.flatnonzero(rng.random(total) < probs_in[eidx])
+                # Set ids only for the arcs whose coin came up: arc j
+                # belongs to the first frontier entry whose end exceeds j.
+                cand = fsets[np.searchsorted(ends, hit, side="right")] * n
+                cand += in_tails[eidx[hit]]
+                keys = cand[~visited[cand]]  # drop already-visited pairs
+                if not keys.size:
+                    break
+                # Dedup within the level: sort, keep the first of each run
+                # of equal keys.  Same ascending unique keys as np.unique,
+                # without its hashing cost.
+                keys.sort()
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+                touched.append(keys)
+                visited[keys] = True
+                fsets, fnodes = np.divmod(keys, n)
+                member_sets.append(fsets + c0)
+                member_nodes.append(fnodes)
+            _reset(visited, touched)
+    finally:
+        _reset(visited, touched)
 
     all_sets = np.concatenate(member_sets)
     all_nodes = np.concatenate(member_nodes)
     # Stable sort by set id: members stay in per-level discovery order.
-    order = np.argsort(all_sets, kind="stable")
+    # A stable order is unique, so sorting the ids as uint16 (which NumPy
+    # radix-sorts) gives the same permutation whenever they fit.
+    order = np.argsort(
+        all_sets.astype(np.uint16) if count <= 65_536 else all_sets, kind="stable"
+    )
     members = np.ascontiguousarray(all_nodes[order])
     indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(all_sets, minlength=count)))

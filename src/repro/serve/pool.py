@@ -20,7 +20,9 @@ the batch runners never had to:
   that just served, so the active family always stays warm.
 * **Lifecycle.**  :meth:`close` closes every session (idempotent, and
   what the server's drain path calls), so a clean shutdown leaves no
-  ``SharedGraphPool`` shared-memory segments behind; a failed query's
+  ``SharedGraphPool`` shared-memory segments behind.  A session leaving
+  the pool (evicted, discarded or closed) takes its dataset out of the
+  build cache, unless a live session still uses it.  A failed query's
   session is :meth:`discard`-ed rather than reused (the PR 6 rule: a
   poisoned session's state is unknown — tear it down, the next query
   reopens cold).
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from repro.errors import ServeError
 from repro.api.session import AllocationSession
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.datasets import Dataset
+from repro.experiments.datasets import Dataset, forget_dataset
 from repro.serve.schema import QueryRequest
 
 
@@ -127,7 +129,7 @@ class SessionPool:
             # answers for the dataset entry the pool key names — a warm
             # hit here would serve results for a graph the client never
             # asked about.  Discard it and reopen cold below
-            # (docs/ARCHITECTURE.md §14).
+            # (docs/ARCHITECTURE.md §14), on the same cached dataset.
             self._entries.pop(key)
             entry.session.close()
             self.counters["stale_discards"] += 1
@@ -178,7 +180,7 @@ class SessionPool:
         """
         entry = self._entries.pop(key, None)
         if entry is not None:
-            entry.session.close()
+            self._drop(entry)
             self.counters["discards"] += 1
 
     # ------------------------------------------------------------------
@@ -228,8 +230,18 @@ class SessionPool:
         entry = self._entries.pop(key)
         self.counters["evictions"] += 1
         self.counters["evicted_bytes"] += entry.store_bytes
-        entry.session.close()
+        self._drop(entry)
         return key
+
+    def _drop(self, entry: PoolEntry) -> None:
+        """Close a popped entry's session and uncache its dataset.
+
+        The dataset stays cached while any live entry still uses it, so
+        a pooled session's dataset is always the cached object.
+        """
+        entry.session.close()
+        if all(other.dataset is not entry.dataset for other in self._entries.values()):
+            forget_dataset(entry.dataset)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -285,8 +297,7 @@ class SessionPool:
             return
         self._closed = True
         for key in list(self._entries):
-            entry = self._entries.pop(key)
-            entry.session.close()
+            self._drop(self._entries.pop(key))
 
     def __enter__(self) -> "SessionPool":
         return self

@@ -86,6 +86,22 @@ class TestRMInstance:
         with pytest.raises(InstanceError):
             _make(incentive_rows=[np.array([-1.0, 0.0, 0.0])])
 
+    def test_nan_probability_rejected(self):
+        """A NaN arc probability passes a min()/max() range check, and the
+        arc would silently never fire."""
+        g = _graph()
+        advs = [Advertiser(index=0, cpe=1.0, budget=1.0)]
+        probs = np.array([0.5, np.nan])
+        with pytest.raises(InstanceError, match=r"lie in \[0, 1\]"):
+            RMInstance(g, advs, [probs], [np.zeros(g.n)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_incentives_rejected(self, bad):
+        """A NaN incentive used to reach the seed-size estimate as a bare
+        ``ValueError: cannot convert float NaN to integer``."""
+        with pytest.raises(InstanceError, match="finite and non-negative"):
+            _make(incentive_rows=[np.array([1.0, bad, 1.0])])
+
     def test_degenerate_budget_rejected(self):
         # Every node's incentive exceeds the budget: no affordable seed.
         with pytest.raises(InstanceError):

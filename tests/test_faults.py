@@ -11,6 +11,8 @@ Exercises the fault-tolerance contract of docs/ARCHITECTURE.md §11 with
   ``EngineWarmState.make_sampler`` the same way, and a state whose pool
   failed never builds another — sessions report it on every later
   solve;
+* a worker process that cannot start degrades the solve the same way,
+  whether the pool is being built or replacing a crashed worker;
 * a hung worker (injected shard delay) trips the heartbeat supervisor;
 * grid cells that raise or time out are quarantined as typed manifest
   rows, retried with backoff, and re-attempted on resume;
@@ -22,14 +24,18 @@ The worker count honours ``REPRO_TEST_WORKERS`` (default 2), as in
 
 from __future__ import annotations
 
+import errno
+import itertools
 import json
 import os
 import subprocess
 import sys
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import EngineSpec
 from repro.api.session import AllocationSession
 from repro.core.ti_engine import EngineWarmState
@@ -376,6 +382,66 @@ class TestSessionDegradation:
             assert later.extras["degraded"]
             assert later.extras["fault_counters"]["pool_degraded"] == 0
             assert after["pool_degraded_state"] and not after["pool_active"]
+
+
+class TestWorkerStartFailure:
+    """A worker process that cannot start (``Process.start`` raising
+    ``OSError(EAGAIN)``, as under a process limit) degrades a
+    ``workers >= 2`` solve instead of failing it: while the pool is
+    being built, and while it replaces a crashed worker."""
+
+    SPEC = EngineSpec(eps=0.8, theta_cap=400, workers=2, seed=3)
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        ds = build_dataset("epinions_syn", n=200, h=3, singleton_rr_samples=1000)
+        return ds.build_instance("linear", 1.0)
+
+    @pytest.fixture(scope="class")
+    def in_process(self, instance):
+        """The in-process shard plan's answer: no pool is ever built."""
+        with fault_plan(FaultPlan([FaultRule(seam="shm.attach", at=0)])):
+            return repro.solve(instance, "TI-CSRM", self.SPEC)
+
+    @staticmethod
+    def _refuse_starts(monkeypatch, after: int) -> None:
+        """Let the first *after* worker starts through; refuse the rest."""
+        real_start = BaseProcess.start
+        calls = itertools.count()
+
+        def start(proc):
+            if next(calls) < after:
+                return real_start(proc)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(BaseProcess, "start", start)
+
+    @staticmethod
+    def _assert_degraded_answer(result, in_process):
+        assert result.allocation.seed_sets() == in_process.allocation.seed_sets()
+        assert result.revenue_per_ad == in_process.revenue_per_ad
+        assert result.extras["degraded"]
+        assert result.extras["fault_counters"]["pool_degraded"] == 1
+
+    def test_pool_whose_workers_cannot_start_degrades(
+        self, instance, in_process, monkeypatch
+    ):
+        self._refuse_starts(monkeypatch, after=0)
+        live = set(backend_module._LIVE_POOLS)
+        result = repro.solve(instance, "TI-CSRM", self.SPEC)
+        self._assert_degraded_answer(result, in_process)
+        assert set(backend_module._LIVE_POOLS) <= live
+
+    def test_failed_respawn_fails_the_pool(self, instance, in_process, monkeypatch):
+        """The pool starts its workers, one is killed mid-batch, and its
+        replacement cannot start: the pool fails with
+        ``PoolDegradedError`` and the backend degrades."""
+        self._refuse_starts(monkeypatch, after=self.SPEC.workers)
+        with fault_plan(FaultPlan([FaultRule(seam="worker.kill", at=0)])):
+            result = repro.solve(instance, "TI-CSRM", self.SPEC)
+        self._assert_degraded_answer(result, in_process)
+        # The replacement never started, so nothing counts as respawned.
+        assert result.extras["fault_counters"]["worker_respawns"] == 0
 
 
 class TestOrphanReaper:

@@ -17,6 +17,8 @@ semantics exactly:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,12 @@ from repro.rrset.collection import (
     SharedRRStore,
     estimate_spread_flat,
 )
-from repro.rrset.sampler import RRSampler
+from repro.rrset import sampler as sampler_module
+from repro.rrset.sampler import (
+    DEFAULT_CHUNK_BYTES,
+    RRSampler,
+    sample_batch_flat_kernel,
+)
 from repro.topics.edge_probs import weighted_cascade
 from tests.conftest import flat_sets
 
@@ -41,19 +48,20 @@ from tests.conftest import flat_sets
 # ----------------------------------------------------------------------
 # 1. Sampler parity against a transparent reference
 # ----------------------------------------------------------------------
-def reference_batch_flat(sampler, count, rng):
+def reference_batch_flat(sampler, count, rng, roots=None):
     """Pure-Python mirror of ``sample_batch_flat``'s RNG stream.
 
-    Same draws in the same order: one vectorized root draw, then per
-    chunk and per BFS level one ``rng.random(E)`` over the frontier's
-    candidate arcs (frontier ascending by (set, node), each node's
-    in-arc slice contiguous).
+    Same draws in the same order: one vectorized root draw (skipped
+    when *roots* pins them), then per chunk and per BFS level one
+    ``rng.random(E)`` over the frontier's candidate arcs (frontier
+    ascending by (set, node), each node's in-arc slice contiguous).
     """
     n = sampler.graph.n
     in_indptr = sampler._in_indptr
     tails = sampler._in_tails
     probs = sampler.probs_in
-    roots = rng.integers(0, n, size=count).astype(np.int64)
+    if roots is None:
+        roots = rng.integers(0, n, size=count).astype(np.int64)
     chunk = sampler._chunk_size(count)
     per_set: list[list[int]] = [[] for _ in range(count)]
     for c0 in range(0, count, chunk):
@@ -172,6 +180,121 @@ class TestSamplerParity:
                         closure.add(int(u))
                         stack.append(int(u))
             assert set(rr.tolist()) <= closure
+
+
+def _assert_same_batch(a, b):
+    assert a[1].tolist() == b[1].tolist()
+    assert a[0].tolist() == b[0].tolist()
+
+
+class _RaisingGenerator:
+    """A generator stand-in whose ``random`` raises on its *fail_at*-th
+    call (0-based), after drawing like ``default_rng(seed)`` until then."""
+
+    def __init__(self, seed: int, fail_at: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self._left = fail_at
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size):
+        if self._left == 0:
+            raise RuntimeError("generator failed mid-level")
+        self._left -= 1
+        return self._rng.random(size)
+
+
+def _bitmap() -> np.ndarray:
+    """This thread's kept visited bitmap."""
+    return sampler_module._PER_THREAD.visited
+
+
+class TestVisitedBitmapReuse:
+    """The kernel keeps one visited bitmap per thread across calls and
+    hands it back all False, so every call sees a clean bitmap."""
+
+    # (n, density, p, count, chunk_bytes, pin_roots); the first call is
+    # the largest, so every later one reuses the bitmap it grew.
+    CALLS = [
+        (60, 0.3, "wc", 400, None, False),
+        (25, 0.6, 0.3, 50, 25 * 7, False),
+        (40, 0.5, 0.5, 64, None, True),
+        (33, 0.2, 1.0, 23, 33 * 4, True),
+        (60, 0.3, "wc", 17, None, False),
+    ]
+
+    def test_reuse_across_shapes_matches_reference(self, monkeypatch):
+        bitmap = None
+        for step, (n, density, p, count, chunk_bytes, pin) in enumerate(self.CALLS):
+            monkeypatch.setattr(
+                RRSampler, "_CHUNK_BYTES", chunk_bytes or DEFAULT_CHUNK_BYTES
+            )
+            sampler = _parity_sampler(n, density, step, p)
+            roots = (
+                np.random.default_rng(step).integers(0, n, size=count) if pin else None
+            )
+            fast = sampler.sample_batch_flat(
+                count, np.random.default_rng(step), roots=roots
+            )
+            ref = reference_batch_flat(
+                sampler, count, np.random.default_rng(step), roots=roots
+            )
+            _assert_same_batch(fast, ref)
+            if bitmap is None:
+                bitmap = _bitmap()
+            assert _bitmap() is bitmap and not bitmap.any()
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 4, 9])
+    def test_failure_mid_level_leaves_bitmap_clean(self, monkeypatch, fail_at):
+        """With chunks of 7 sets, calls 0..3 of ``random`` are the first
+        chunk's levels and calls 4..7 the second's, so the failure strikes
+        with visited keys set in a first or a later chunk."""
+        monkeypatch.setattr(RRSampler, "_CHUNK_BYTES", 40 * 7)
+        sampler = _parity_sampler(40, 0.5, 6, 0.4)
+        with pytest.raises(RuntimeError, match="mid-level"):
+            sample_batch_flat_kernel(
+                40, sampler._in_indptr, sampler._in_tails, sampler.probs_in,
+                30, _RaisingGenerator(3, fail_at), RRSampler._CHUNK_BYTES,
+            )
+        assert not _bitmap().any()
+        fast = sampler.sample_batch_flat(30, np.random.default_rng(3))
+        ref = reference_batch_flat(sampler, 30, np.random.default_rng(3))
+        _assert_same_batch(fast, ref)
+
+    def test_concurrent_threads_match_serial(self):
+        """Two threads sampling at once each get their own bitmap and
+        their serial result."""
+        samplers = [
+            _parity_sampler(200, 0.05, 7, 0.3),
+            _parity_sampler(150, 0.08, 8, "wc"),
+        ]
+        serial = [
+            s.sample_batch_flat(3000, np.random.default_rng(k))
+            for k, s in enumerate(samplers)
+        ]
+        barrier = threading.Barrier(2)
+        outcomes: list = [None, None]
+
+        def work(k: int) -> None:
+            barrier.wait()
+            batches = [
+                samplers[k].sample_batch_flat(3000, np.random.default_rng(k))
+                for _ in range(5)
+            ]
+            outcomes[k] = (batches, _bitmap())
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        (batches_a, bitmap_a), (batches_b, bitmap_b) = outcomes
+        assert bitmap_a is not bitmap_b
+        for batch in batches_a:
+            _assert_same_batch(batch, serial[0])
+        for batch in batches_b:
+            _assert_same_batch(batch, serial[1])
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,10 @@ class TestSamplerBasics:
             RRSampler(path_graph, np.ones(7))
         with pytest.raises(EstimationError):
             RRSampler(path_graph, np.full(path_graph.m, 1.5))
+        nan_probs = np.full(path_graph.m, 0.5)
+        nan_probs[1] = np.nan
+        with pytest.raises(EstimationError, match=r"lie in \[0, 1\]"):
+            RRSampler(path_graph, nan_probs)
 
     def test_empty_graph_rejected(self):
         g = DiGraph(0, [], [])

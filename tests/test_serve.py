@@ -25,7 +25,9 @@ import pytest
 
 from repro.api.session import AllocationSession
 from repro.errors import ServeError
+from repro.experiments import datasets as datasets_module
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.datasets import clear_dataset_cache
 from repro.experiments.grid import _cell_dataset, session_group_key
 from repro.experiments.harness import run_algorithm
 from repro.faults import FaultPlan, FaultRule, fault_plan
@@ -163,6 +165,26 @@ class TestSessionPool:
             pool.evict_over_budget(protect=b.key)
             assert len(pool) == 1 and b.key in pool
             assert a.session.is_closed
+
+    def test_evicted_sessions_free_their_datasets(self):
+        """A session leaving the pool takes its dataset out of the build
+        cache; the live session's dataset stays cached and warm."""
+        clear_dataset_cache()
+        with SessionPool(CFG, max_sessions=1) as pool:
+            for n in (80, 90, 100, 110, 120):
+                entry, warm = pool.lease(QueryRequest(dataset={**ENTRY, "n": n}))
+                assert not warm
+                entry.session.solve(entry.dataset.build_instance(), "TI-CSRM")
+                pool.release(entry.key)
+            assert len(pool) == 1 and pool.counters["evictions"] == 4
+            cached = list(datasets_module._CACHE.values())
+            assert len(cached) == 1 and cached[0] is entry.dataset
+            before = entry.session.stats["sets_sampled"]
+            again, warm = pool.lease(QueryRequest(dataset={**ENTRY, "n": 120}))
+            assert warm and again is entry
+            again.session.solve(again.dataset.build_instance(), "TI-CSRM")
+            assert again.session.stats["sets_sampled"] == before
+        assert not datasets_module._CACHE
 
     def test_discard_quarantines(self):
         with SessionPool(CFG) as pool:

@@ -1,0 +1,194 @@
+#!/usr/bin/env python
+"""One SHA-256 over a fixed set of seeded solves: "same answers" as one command.
+
+Runs a fixed matrix of solves and prints one digest line, then one
+``<sha256> <label>`` line per record.  Run it on two trees and compare
+the first line: equal digests mean every recorded output is bit for bit
+the same.  The records cover:
+
+* 128 serial cold solves: the four built-in algorithms x
+  ``share_samples`` x ``opt_lower`` (KPT or the dataset's singleton
+  bounds) x ``window`` (None or 5) x ``theta_cap`` (120 or 2000) on
+  ``epinions_syn`` and ``flixster_syn`` (n=300, h=4);
+* ``workers=2`` cold solves, private and shared;
+* spilled stores (``rr_bytes_budget=1``), serial and ``workers=2``;
+* a warm session per worker setting: two solves, one 20-edge batch,
+  two solves on the mutated graph, with the mutation report;
+* :class:`~repro.core.oracles.RRStaticOracle`, serial and ``workers=2``.
+
+Each record holds the seed sets, per-ad revenue and seeding cost as
+float hex, theta and seed-size estimates per ad, rounds, the ``memory``
+block and the state of every sampling generator after the solve.
+
+Usage: ``python tools/solve_digest.py [--out records.json] [repo_root]``.
+The script puts ``<root>/src`` on ``sys.path`` itself, so a checkout of
+another commit is compared by passing its root.  It takes a few seconds
+on two cores and starts two-worker pools.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("root", nargs="?", default=None, help="repository root")
+parser.add_argument("--out", default=None, help="write the records as JSON here")
+ARGS = parser.parse_args()
+ROOT = Path(ARGS.root).resolve() if ARGS.root else Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from repro.api import AllocationSession, EngineSpec  # noqa: E402
+from repro.api.session import apply_edge_batch  # noqa: E402
+from repro.api.solve import resolve_spec  # noqa: E402
+from repro.core.instance import RMInstance  # noqa: E402
+from repro.core.oracles import RRStaticOracle  # noqa: E402
+from repro.core.ti_engine import TIEngine  # noqa: E402
+from repro.experiments.datasets import build_dataset  # noqa: E402
+from repro.graph.updates import random_update_batch  # noqa: E402
+
+ALGORITHMS = ("TI-CSRM", "TI-CARM", "PageRank-GR", "PageRank-RR")
+DATASETS = ("epinions_syn", "flixster_syn")
+N, H, SEED = 300, 4, 7
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _state(rng) -> dict:
+    return rng.bit_generator.state
+
+
+def _result_fields(result) -> dict:
+    extras = result.extras
+    return {
+        "seeds": result.allocation.seed_sets(),
+        "revenue": _hex(result.revenue_per_ad),
+        "seeding_cost": _hex(result.seeding_cost_per_ad),
+        "theta": extras["theta_per_ad"],
+        "s_est": extras["seed_size_estimate_per_ad"],
+        "rounds": extras["rounds"],
+        "memory_bytes": extras["memory_bytes"],
+        "memory": extras["memory"],
+        "degraded": extras["degraded"],
+    }
+
+
+def cold(instance, algorithm: str, spec: EngineSpec) -> dict:
+    """What ``repro.solve`` returns, plus each ad's generator state after."""
+    definition, resolved = resolve_spec(algorithm, spec)
+    engine = TIEngine(
+        instance,
+        resolved,
+        candidate_rule=definition.candidate_rule,
+        selector=definition.selector,
+        algorithm_name=definition.display(resolved),
+    )
+    result = engine.run()
+    return {
+        **_result_fields(result),
+        "rng_states": [_state(st.group.rng) for st in engine._states],
+    }
+
+
+def session_records(dataset, workers) -> list[tuple[str, dict]]:
+    instance = dataset.build_instance(alpha=0.5, h=H)
+    spec = EngineSpec(eps=0.4, theta_cap=2000, seed=SEED, workers=workers)
+    records = []
+    with AllocationSession(instance.graph, spec=spec) as session:
+
+        def solve_all(inst, tag):
+            for algorithm in ("TI-CSRM", "TI-CARM"):
+                result = session.solve(inst, algorithm)
+                states = [_state(g.rng) for g in session._warm.stores.values()]
+                records.append((
+                    f"session/w{workers}/{tag}/{algorithm}",
+                    {**_result_fields(result), "rng_states": states},
+                ))
+
+        solve_all(instance, "before")
+        batch = random_update_batch(instance.graph, np.random.default_rng(SEED), 20)
+        graph, probs, report = apply_edge_batch(
+            instance.graph, instance.ad_probs, batch, session
+        )
+        records.append((f"session/w{workers}/mutation", report))
+        mutated = RMInstance(graph, instance.advertisers, probs, instance.incentives)
+        solve_all(mutated, "after")
+    return records
+
+
+def oracle_record(instance, workers) -> dict:
+    rng = np.random.default_rng(SEED)
+    oracle = RRStaticOracle(instance, n_samples=3000, seed=rng, workers=workers)
+    probes = ([0], [1, 2, 3], list(range(0, N, 7)))
+    return {
+        "spreads": [
+            _hex(oracle.spread(ad, s) for s in probes) for ad in range(instance.h)
+        ],
+        "rng_state": _state(rng),
+    }
+
+
+def records() -> list[tuple[str, dict]]:
+    out = []
+    for name in DATASETS:
+        dataset = build_dataset(name, n=N, h=H, seed=SEED)
+        instance = dataset.build_instance(alpha=0.5, h=H)
+        bounds = tuple(dataset.opt_lower_bounds(H))
+        for algorithm in ALGORITHMS:
+            for share in (False, True):
+                for opt_name, opt_lower in (("kpt", "kpt"), ("singleton", bounds)):
+                    for window in (None, 5):
+                        for cap in (120, 2000):
+                            spec = EngineSpec(
+                                eps=0.4, theta_cap=cap, opt_lower=opt_lower,
+                                window=window, share_samples=share, seed=SEED,
+                            )
+                            label = (
+                                f"cold/{name}/{algorithm}/share={share}/"
+                                f"{opt_name}/window={window}/cap={cap}"
+                            )
+                            out.append((label, cold(instance, algorithm, spec)))
+        for workers, share, budget in (
+            (2, False, None), (2, True, None), (None, True, 1), (2, True, 1),
+        ):
+            spec = EngineSpec(
+                eps=0.4, theta_cap=2000, share_samples=share, workers=workers,
+                rr_bytes_budget=budget, seed=SEED,
+            )
+            label = f"cold/{name}/TI-CSRM/workers={workers}/share={share}"
+            out.append((f"{label}/budget={budget}", cold(instance, "TI-CSRM", spec)))
+        if name == DATASETS[0]:
+            for workers in (None, 2):
+                out.extend(session_records(dataset, workers))
+                out.append((f"oracle/w{workers}", oracle_record(instance, workers)))
+    return out
+
+
+def main() -> int:
+    recs = records()
+    lines = []
+    digest = hashlib.sha256()
+    for label, record in recs:
+        blob = json.dumps(record, sort_keys=True).encode()
+        record_hash = hashlib.sha256(blob).hexdigest()
+        digest.update(record_hash.encode())
+        lines.append(f"{record_hash} {label}")
+    print(f"{digest.hexdigest()} {len(recs)} records")
+    print("\n".join(lines))
+    if ARGS.out:
+        Path(ARGS.out).write_text(
+            json.dumps([{"label": label, **record} for label, record in recs],
+                       sort_keys=True, indent=1)
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
