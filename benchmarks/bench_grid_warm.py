@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.grid import GridSpec, clear_grid_caches, run_grid
+from repro.experiments.grid import GridSpec, run_grid
 
 try:  # package import (pytest from the repo root)
     from benchmarks.trajectory import append_entry
@@ -65,7 +65,6 @@ WORKLOAD = {
 
 
 def _run_mode(mode: str, directory: str) -> tuple[float, list[dict]]:
-    clear_grid_caches()
     spec = GridSpec.from_dict(
         {**WORKLOAD, "execution": {"mode": mode}}
         if mode != "cold"

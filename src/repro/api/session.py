@@ -317,11 +317,9 @@ class AllocationSession:
     def is_closed(self) -> bool:
         """Whether :meth:`close` has run (a closed session refuses solves).
 
-        Pool owners (the serve layer's
-        :class:`~repro.serve.pool.SessionPool`, the grid runner's
-        :class:`~repro.experiments.grid.WarmSessionGroups`) key eviction
-        and teardown decisions on this flag instead of poking at
-        private state.
+        Pool owners (:class:`~repro.serve.pool.SessionPool`, behind
+        ``repro serve`` and warm grid runs) key eviction and teardown
+        decisions on this flag instead of poking at private state.
         """
         return self._closed
 

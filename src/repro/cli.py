@@ -39,7 +39,8 @@ from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import DATASET_BUILDERS, build_dataset
 from repro.experiments.figures import run_alpha_sweep
-from repro.experiments.harness import ALGORITHMS, run_algorithm
+from repro.experiments.grid import GridCell
+from repro.experiments.harness import ALGORITHMS, solve_cell
 from repro.experiments.reporting import format_table
 from repro.experiments.tables import table1_rows, table2_rows
 
@@ -126,23 +127,26 @@ def cmd_datasets(args) -> int:
 
 
 def cmd_run(args) -> int:
-    dataset = build_dataset(args.dataset, **_dataset_kwargs(args))
-    _print_run_header(args, dataset)
-    config = _config(args)
-    instance = dataset.build_instance(
-        incentive_model=args.incentives, alpha=args.alpha
+    kwargs = _dataset_kwargs(args)
+    cell = GridCell(
+        dataset={"name": args.dataset, **kwargs},
+        algorithm=args.algorithm,
+        incentive_model=args.incentives,
+        alpha=args.alpha,
     )
-    result = run_algorithm(args.algorithm, dataset, instance, config)
+    dataset = build_dataset(args.dataset, **kwargs)
+    _print_run_header(args, dataset)
+    result, _ = solve_cell(cell, dataset, _config(args), args.seed)
     print(result.summary())
     rows = [
         {
             "ad": i,
-            "budget": instance.budget(i),
+            "budget": float(dataset.budgets[i]),
             "revenue": result.revenue_per_ad[i],
             "incentives": result.seeding_cost_per_ad[i],
             "seeds": len(result.allocation.seeds(i)),
         }
-        for i in range(instance.h)
+        for i in range(dataset.h)
     ]
     print(format_table(rows))
     return 0

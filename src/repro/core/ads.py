@@ -8,6 +8,7 @@ capping the advertiser's total payment ``ρ_i(S_i)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import InstanceError
@@ -27,10 +28,11 @@ class Advertiser:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise InstanceError(f"advertiser index must be >= 0, got {self.index}")
-        if self.cpe <= 0:
-            raise InstanceError(f"cpe must be positive, got {self.cpe}")
-        if self.budget <= 0:
-            raise InstanceError(f"budget must be positive, got {self.budget}")
+        for name in ("cpe", "budget"):
+            # NaN or ±inf would poison every payment mid-solve.
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InstanceError(f"{name} must be finite and positive, got {value}")
         if not self.name:
             object.__setattr__(self, "name", f"ad-{self.index}")
 

@@ -44,6 +44,13 @@ class RMInstance:
                     f"advertiser at position {pos} has index {adv.index}; "
                     "indices must equal positions"
                 )
+            # Payments are cpe · n · (covered fraction) plus incentives;
+            # an infinite cpe · n makes a first payment inf · 0 = NaN,
+            # which no budget check refuses.
+            if not np.isfinite(adv.cpe * float(graph.n)):
+                raise InstanceError(
+                    f"ad {pos}: cpe {adv.cpe} times n = {graph.n} is not finite"
+                )
         checked_probs: list[np.ndarray] = []
         checked_incentives: list[np.ndarray] = []
         for i, (probs, costs) in enumerate(zip(ad_probs, incentives)):

@@ -14,13 +14,12 @@ from repro.experiments.datasets import (
 from repro.experiments.grid import (
     GridCell,
     GridSpec,
-    clear_grid_caches,
     default_manifest_path,
     grid_table_rows,
     load_manifest,
     run_grid,
 )
-from repro.experiments.harness import run_algorithm, run_algorithms, ALGORITHMS
+from repro.experiments.harness import run_algorithm, ALGORITHMS
 from repro.experiments.figures import (
     run_alpha_sweep,
     run_figure4,
@@ -45,14 +44,12 @@ __all__ = [
     "unregister_dataset",
     "GridCell",
     "GridSpec",
-    "clear_grid_caches",
     "default_manifest_path",
     "grid_table_rows",
     "load_manifest",
     "run_grid",
     "figure5_grid_spec",
     "run_algorithm",
-    "run_algorithms",
     "ALGORITHMS",
     "run_alpha_sweep",
     "run_figure4",

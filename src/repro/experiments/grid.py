@@ -24,23 +24,26 @@ windows — and :func:`run_grid` runs the full cross product:
 
 * **Execution modes (docs/ARCHITECTURE.md §10).**  The optional
   ``execution`` block selects how cells are driven; either way every
-  cell, static or dynamic, runs through :func:`run_cell`:
+  cell, static or dynamic, runs through :func:`run_cell` and the solve
+  step ``repro serve`` and ``repro run`` share
+  (:func:`~repro.experiments.harness.solve_cell`):
 
   - ``{"mode": "cold"}`` (the default) solves every cell from scratch —
     results are a pure function of ``(spec, root seed)``, independent
     of execution order and resume history;
   - ``{"mode": "warm_per_dataset"}`` groups cells by dataset entry and
     drives each group through one
-    :class:`~repro.api.session.AllocationSession`, so cells after the
+    :class:`~repro.api.session.AllocationSession` leased from a
+    :class:`~repro.serve.pool.SessionPool`, so cells after the
     first adopt the group's already-drawn RR stores (the paper's
     evaluation shape — many solves over one graph — typically re-solves
     several times faster warm; see ``BENCH_grid.json``).  Reuse trades
     order-independence for speed: each cell's manifest row carries a
     ``session`` provenance block (group key, solve index, per-cell
     sampler-call / store-hit deltas), and the manifest header pins the
-    execution mode so cold and warm rows can never silently mix.  A
-    session a dynamic cell mutated is reopened before the group's next
-    cell, so no cell sees another cell's mutations.
+    execution mode so cold and warm rows can never silently mix.  The
+    pool reopens a session a dynamic cell mutated before the group's
+    next cell, so no cell sees another cell's mutations.
 
 * **Cell retry and quarantine (docs/ARCHITECTURE.md §11).**  The
   ``execution`` block's ``cell_timeout_s`` / ``max_retries`` /
@@ -49,9 +52,9 @@ windows — and :func:`run_grid` runs the full cross product:
   attempts is *quarantined* — written to the manifest as a typed
   ``"cell_error"`` row — instead of aborting the grid, and resume
   re-attempts quarantined cells.  In warm mode a failing cell's
-  session group is torn down (pool included) before the retry, so a
-  poisoned :class:`~repro.api.session.AllocationSession` is never
-  reused and never leaks.
+  session is discarded from the pool (worker pool included) before the
+  retry, so a poisoned :class:`~repro.api.session.AllocationSession` is
+  never reused and never leaks.
 
 Specs are plain JSON (see ``specs/`` at the repo root)::
 
@@ -77,18 +80,16 @@ import os
 import signal
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from repro import faults as _faults
 from repro._checks import check_choice, check_int, check_number
-from repro.errors import CellTimeoutError, SpecError
+from repro.errors import CellTimeoutError, InstanceError, SpecError
 from repro.api.registry import algorithm_names
-from repro.api.session import AllocationSession, apply_edge_batch
-from repro.api.solve import solve
-from repro.core.instance import RMInstance
+from repro.api.session import AllocationSession
 from repro.graph.updates import UPDATE_OPS, random_update_schedule
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import (
@@ -96,7 +97,7 @@ from repro.experiments.datasets import (
     build_dataset,
     build_edge_list_dataset,
 )
-from repro.experiments.harness import opt_lower_for
+from repro.experiments.harness import session_deltas, solve_cell
 from repro.experiments.reporting import results_dir
 from repro.incentives.models import INCENTIVE_MODELS
 
@@ -131,24 +132,84 @@ def _canonical(data) -> str:
 def dataset_label(entry: dict) -> str:
     """Human-readable name of a dataset entry (synthetic or edge-list)."""
     if "name" in entry:
-        return str(entry["name"])
-    if "path" in entry:
-        return os.path.splitext(os.path.basename(str(entry["path"])))[0]
-    raise SpecError(f"dataset entry needs a 'name' or 'path' key: {entry!r}")
+        return entry["name"]
+    return os.path.splitext(os.path.basename(entry["path"]))[0]
 
 
 @dataclass(frozen=True)
 class GridCell:
-    """One point of the scenario matrix (a single algorithm run)."""
+    """One instance of the problem: a dataset entry plus marketplace axes.
+
+    Every front end solves cells: a :class:`GridSpec` expands into them, a
+    serve :class:`~repro.serve.schema.QueryRequest` is one plus a seed,
+    and ``repro run`` builds one from its flags.  So the cell checks its
+    own axes, once for all three: a bad one raises :attr:`_error`
+    (:class:`~repro.errors.InstanceError` here; a spec reports it as a
+    ``SpecError`` and a query raises ``ServeError``).  A cell keeps valid
+    values as spelled, since they enter :attr:`cell_id` and so the cell
+    seed; a query stores them normalized (:attr:`_normalize`).
+    """
 
     dataset: dict
-    algorithm: str
-    h: int | None
-    budget: float | None
-    cpe: float | None
-    incentive_model: str
-    alpha: float
-    window: int | None
+    algorithm: str = "TI-CSRM"
+    h: int | None = None
+    budget: float | None = None
+    cpe: float | None = None
+    incentive_model: str = "linear"
+    alpha: float = 1.0
+    window: int | None = None
+
+    #: The error a bad axis raises.
+    _error = InstanceError
+    #: Whether valid numbers are stored as ``float``/``int``.
+    _normalize = False
+
+    def __post_init__(self) -> None:
+        error = self._error
+        if not isinstance(self.dataset, dict):
+            raise error(
+                f"dataset must be an object like {{'name': ...}}, got {self.dataset!r}"
+            )
+        object.__setattr__(self, "dataset", dict(self.dataset))
+        if "name" not in self.dataset and "path" not in self.dataset:
+            raise error(f"dataset entry needs a 'name' or 'path' key: {self.dataset!r}")
+        for key in ("name", "path"):
+            if not isinstance(self.dataset.get(key, ""), str):
+                raise error(
+                    f"dataset {key} must be a string, got {self.dataset[key]!r}"
+                )
+        if self.algorithm not in algorithm_names():
+            # The live registry, so user-registered algorithms are
+            # first-class cells.
+            raise error(
+                f"unknown algorithm {self.algorithm!r}; "
+                f"options: {list(algorithm_names())}"
+            )
+        if (
+            not isinstance(self.incentive_model, str)
+            or self.incentive_model not in INCENTIVE_MODELS
+        ):
+            raise error(
+                f"unknown incentive model {self.incentive_model!r}; "
+                f"options: {sorted(INCENTIVE_MODELS)}"
+            )
+        # Dataset.build_instance refuses a zero α, budget or CPE.
+        values = {
+            name: check_number(getattr(self, name), name, error=error,
+                               positive=True, optional=name != "alpha")
+            for name in ("alpha", "budget", "cpe")
+        }
+        for name in ("h", "window"):
+            values[name] = check_int(getattr(self, name), name, error=error,
+                                     minimum=1, optional=True)
+        if self._normalize:
+            for name, value in values.items():
+                object.__setattr__(self, name, value)
+
+    @property
+    def pool_key(self) -> str:
+        """The warm-session key of the cell's dataset entry."""
+        return session_group_key(self.dataset)
 
     def params(self) -> dict:
         """The cell's axis values as a flat JSON-able dict."""
@@ -169,7 +230,7 @@ class GridCell:
         """Digest of the cell parameters — stable across spec reordering."""
         return hashlib.sha256(_canonical(self.params()).encode()).hexdigest()[:16]
 
-    def seed(self, root_seed: int) -> int:
+    def seed_for(self, root_seed: int) -> int:
         """The cell's RNG seed, a pure function of (root seed, cell id)."""
         digest = int.from_bytes(
             hashlib.sha256(self.cell_id.encode()).digest()[:8], "big"
@@ -251,37 +312,13 @@ class GridSpec:
         for axis in _AXES:
             if not isinstance(getattr(self, axis), (list, tuple)):
                 raise SpecError(f"{axis} must be a list, got {getattr(self, axis)!r}")
-        if not self.datasets:
-            raise SpecError("spec needs at least one dataset entry")
-        for entry in self.datasets:
-            if not isinstance(entry, dict):
-                raise SpecError(f"dataset entry must be an object, got {entry!r}")
-            dataset_label(entry)  # validates the entry shape
-        # Axis values are validated, never rewritten: they enter every
-        # cell id (and so every cell seed) exactly as the spec spells them.
-        for axis in ("h", "windows"):
-            for value in getattr(self, axis):
-                check_int(value, axis, error=SpecError, minimum=1, optional=True)
-        # Dataset.build_instance refuses a zero α, budget or CPE.
-        for axis in ("alphas", "budgets", "cpes"):
-            for value in getattr(self, axis):
-                check_number(value, axis, error=SpecError, positive=True,
-                             optional=axis != "alphas")
+            if not getattr(self, axis):
+                raise SpecError(f"{axis} needs at least one value")
         check_int(self.seed, "seed", error=SpecError, minimum=0)
-        for algorithm in self.algorithms:
-            # Validated against the live registry, so user-registered
-            # algorithms are first-class grid citizens.
-            if algorithm not in algorithm_names():
-                raise SpecError(
-                    f"unknown algorithm {algorithm!r}; "
-                    f"options: {list(algorithm_names())}"
-                )
-        for model in self.incentive_models:
-            if not isinstance(model, str) or model not in INCENTIVE_MODELS:
-                raise SpecError(
-                    f"unknown incentive model {model!r}; "
-                    f"options: {sorted(INCENTIVE_MODELS)}"
-                )
+        try:
+            self.cells()  # every cell checks its own axes
+        except InstanceError as exc:
+            raise SpecError(str(exc)) from None
         if not isinstance(self.config, dict):
             raise SpecError(f"config must be an object, got {self.config!r}")
         unknown = set(self.config) - {f.name for f in fields(ExperimentConfig)}
@@ -353,8 +390,9 @@ class GridSpec:
             raise SpecError(
                 f"unknown spec keys: {sorted(unknown)}; known: {sorted(known)}"
             )
-        if "name" not in data:
-            raise SpecError("spec needs a 'name'")
+        for key in ("name", "datasets"):
+            if key not in data:
+                raise SpecError(f"spec needs a {key!r}")
         kwargs = dict(data)
         for key in _AXES:
             if isinstance(kwargs.get(key), list):
@@ -445,7 +483,7 @@ class GridSpec:
                                     for window in self.windows:
                                         out.append(
                                             GridCell(
-                                                dataset=dict(entry),
+                                                dataset=entry,
                                                 algorithm=algorithm,
                                                 h=h,
                                                 budget=budget,
@@ -494,23 +532,16 @@ def _configs_compatible(previous: dict | None, current: dict) -> bool:
 # Dataset memo (edge-list builds are expensive; synthetic builds are
 # already cached by build_dataset)
 # ----------------------------------------------------------------------
-# Fallback memo for direct run_cell callers only.  run_grid passes its
-# own per-invocation memo instead, so repeated grid runs cannot pile
-# ingested edge-list datasets (graphs + spread arrays) up in module
-# state for the life of the process.
-_DATASET_MEMO: dict[str, Dataset] = {}
-
-
-def _cell_dataset(entry: dict, memo: dict | None = None) -> Dataset:
+def _cell_dataset(entry: dict, memo: dict) -> Dataset:
     """The dataset a grid or serve dataset entry names, built once per memo.
 
-    Raises only :mod:`repro.errors` types, since the entry is spec or
-    query input: an unknown name is an ``InstanceError``, an unreadable
-    edge list a ``GraphError``, and an option the builder does not take,
-    or a value of the wrong type, a ``SpecError`` naming it.
+    ``run_grid`` passes one memo per call, so repeated grid runs cannot
+    pile ingested edge-list datasets up in module state.  Raises only
+    :mod:`repro.errors` types, since the entry is spec or query input:
+    an unknown name is an ``InstanceError``, an unreadable edge list a
+    ``GraphError``, and an option the builder does not take, or a value
+    of the wrong type, a ``SpecError`` naming it.
     """
-    if memo is None:
-        memo = _DATASET_MEMO
     key = _canonical(entry)
     if key not in memo:
         # JSON arrays arrive as lists; builders take tuples, and
@@ -528,13 +559,8 @@ def _cell_dataset(entry: dict, memo: dict | None = None) -> Dataset:
     return memo[key]
 
 
-def clear_grid_caches() -> None:
-    """Drop the grid runner's dataset memo (tests use this for isolation)."""
-    _DATASET_MEMO.clear()
-
-
 # ----------------------------------------------------------------------
-# Warm execution: session groups
+# Warm execution: the session key
 # ----------------------------------------------------------------------
 def session_group_key(entry: dict) -> str:
     """The warm-session key of a dataset entry, as a provenance string.
@@ -554,71 +580,6 @@ def session_group_key(entry: dict) -> str:
     return f"{dataset_label(entry)}@{digest}"
 
 
-class WarmSessionGroups:
-    """Lifecycle owner of one ``run_grid`` call's warm sessions.
-
-    Sessions are opened lazily (a resumed run whose remaining cells
-    touch one dataset opens one session, a fully resumed run opens
-    none), keyed by :func:`session_group_key`, and every session is
-    closed when the instance exits — including on a crashed cell, so an
-    aborted warm run never orphans a
-    :class:`~repro.rrset.backend.SharedGraphPool` or its shared-memory
-    blocks.  ``run_grid`` additionally closes each group as soon as its
-    last pending cell finishes, bounding peak memory to one dataset's
-    stores at a time.
-
-    The *dataset_memo* must be the same mapping the cells are built
-    from: a session is bound to its graph by identity, so the session's
-    graph and the cells' instances have to come from one
-    :class:`Dataset` object.
-    """
-
-    def __init__(self, config: ExperimentConfig, dataset_memo: dict) -> None:
-        self._config = config
-        self._memo = dataset_memo
-        self._sessions: dict[str, AllocationSession] = {}
-
-    def session_for(self, cell: GridCell) -> AllocationSession:
-        """The (lazily opened) session of *cell*'s group.
-
-        A session a dynamic cell mutated (``graph_epoch != 0``) no
-        longer answers for the group's dataset entry, so it is closed
-        and a fresh one opened, as ``SessionPool.lease`` does in
-        ``repro serve``: no cell ever sees another cell's mutations.
-        """
-        key = session_group_key(cell.dataset)
-        session = self._sessions.get(key)
-        if session is not None and session.graph_epoch != 0:
-            self.close_group(key)
-            session = None
-        if session is None:
-            dataset = _cell_dataset(cell.dataset, self._memo)
-            # The config pins workers for the whole group (an
-            # AllocationSession never lets per-solve specs flip them).
-            session = AllocationSession(
-                dataset.graph, spec=self._config.engine_spec(opt_lower="kpt")
-            )
-            self._sessions[key] = session
-        return session
-
-    def close_group(self, key: str) -> None:
-        """Close and drop one group's session (no-op if never opened)."""
-        session = self._sessions.pop(key, None)
-        if session is not None:
-            session.close()
-
-    def close(self) -> None:
-        """Close every remaining session (idempotent)."""
-        for key in list(self._sessions):
-            self.close_group(key)
-
-    def __enter__(self) -> "WarmSessionGroups":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 # ----------------------------------------------------------------------
 # Running cells and manifests
 # ----------------------------------------------------------------------
@@ -626,55 +587,33 @@ def run_cell(
     spec: GridSpec,
     cell: GridCell,
     config: ExperimentConfig,
-    *,
+    dataset: Dataset,
     session: AllocationSession | None = None,
-    dataset_memo: dict | None = None,
 ) -> dict:
-    """Run one cell of any kind; returns its manifest row.
+    """Run one cell of any kind on *dataset*; returns its manifest row.
 
-    A static cell (empty ``spec.mutations``) solves its instance once.
-    A dynamic cell first applies its :func:`cell_update_schedule`, one
-    :func:`~repro.api.session.apply_edge_batch` per batch, and solves
-    the market left after the last batch.  It prices ``OPT_s`` with KPT,
-    since the dataset's singleton bounds describe the unmutated graph,
-    and its row gains a ``mutations`` block with one report per batch.
-
-    A cold cell passes ``session=None``.  A warm cell solves through
-    *session*, whose lifecycle the caller owns; a dynamic one primes it
-    on the unmutated graph first, so the batches repair its RR stores
-    instead of resampling them.  A warm row gains a ``session`` block:
+    The solve is :func:`~repro.experiments.harness.solve_cell`, the step
+    every front end shares.  A dynamic cell (non-empty ``spec.mutations``)
+    hands it the cell's :func:`cell_update_schedule` and its row gains a
+    ``mutations`` block with one report per batch.  A cold cell passes
+    ``session=None``; a warm cell solves through *session*, whose
+    lifecycle the caller owns, and its row gains a ``session`` block:
     the session counters around this cell (docs/EXPERIMENTS.md §4).
-    *dataset_memo* scopes the dataset cache to the caller; ``None``
-    falls back to the module-level memo.
     """
-    dataset = _cell_dataset(cell.dataset, dataset_memo)
-    instance = dataset.build_instance(
-        incentive_model=cell.incentive_model,
-        alpha=cell.alpha,
-        h=cell.h,
-        budget_override=cell.budget,
-        cpe_override=cell.cpe,
+    seed = cell.seed_for(spec.seed)
+    updates = (
+        cell_update_schedule(spec, cell, dataset.graph) if spec.mutations else None
     )
-    seed = cell.seed(spec.seed)
-    opt_lower = "kpt" if spec.mutations else opt_lower_for(dataset, instance, config)
-    engine_spec = config.engine_spec(opt_lower=opt_lower, window=cell.window, seed=seed)
     before = None if session is None else session.stats
+    result, applied = solve_cell(cell, dataset, config, seed, session, updates)
     row = {"kind": "cell", "cell_id": cell.cell_id, "cell_seed": seed}
     row.update(cell.params())
-    if spec.mutations:
-        if session is not None:
-            solve(instance, cell.algorithm, engine_spec, session=session)
-        graph, probs, applied = dataset.graph, instance.ad_probs, []
-        for batch in cell_update_schedule(spec, cell, dataset.graph):
-            graph, probs, report = apply_edge_batch(graph, probs, batch, session)
-            applied.append(report)
-        instance = RMInstance(graph, instance.advertisers, probs, instance.incentives)
+    if updates is not None:
         row["mutations"] = {
             **spec.mutations,
             "applied": applied,
             "warm_incremental": session is not None,
         }
-    result = solve(instance, cell.algorithm, engine_spec, session=session)
     row.update(
         revenue=result.total_revenue,
         seed_cost=result.total_seeding_cost,
@@ -689,23 +628,22 @@ def run_cell(
     )
     if session is not None:
         after = session.stats
-        # A dynamic cell's session opened fresh for it (see
-        # WarmSessionGroups.session_for), so its totals are the cell's own.
+        # A dynamic cell's session opened fresh for it (the pool reopens
+        # a mutated one), so its totals are the cell's own.
         totals = _SESSION_TOTALS + (_MUTATION_TOTALS if spec.mutations else ())
         row["session"] = {
-            "group": session_group_key(cell.dataset),
+            "group": cell.pool_key,
             "solve_index": after["solves"] - 1,
             "warm_resolve": after["solves"] > 1,
-            **{key: after[key] - before[key] for key in _SESSION_DELTAS},
+            **session_deltas(before, after),
             **{key: after[key] for key in totals},
         }
     return row
 
 
-#: What a warm row's ``session`` block reports: this cell's sampler and
-#: store work, the session's store totals after the cell, and, for a
-#: dynamic cell, its mutation totals.
-_SESSION_DELTAS = ("sample_batches", "sets_sampled", "store_hits", "store_misses")
+#: What a warm row's ``session`` block reports besides this cell's
+#: sampler and store work: the session's store totals after the cell,
+#: and, for a dynamic cell, its mutation totals.
 _SESSION_TOTALS = (
     "stored_sets", "store_bytes", "peak_store_bytes", "bytes_per_rr_set",
     "spilled_stores",
@@ -729,7 +667,7 @@ def cell_update_schedule(spec: GridSpec, cell: GridCell, graph) -> list:
         return []
     return random_update_schedule(
         graph,
-        cell.seed(spec.seed),
+        cell.seed_for(spec.seed),
         batches=mut["batches"],
         edges_per_batch=mut["edges_per_batch"],
         ops=tuple(mut["ops"]),
@@ -780,7 +718,7 @@ def _error_row(spec: GridSpec, cell: GridCell, exc: BaseException, attempts: int
     row = {
         "kind": "cell_error",
         "cell_id": cell.cell_id,
-        "cell_seed": cell.seed(spec.seed),
+        "cell_seed": cell.seed_for(spec.seed),
         "quarantined": True,
         "attempts": attempts,
         "error_type": type(exc).__name__,
@@ -795,8 +733,7 @@ def _run_cell_with_retries(
     cell: GridCell,
     config: ExperimentConfig,
     *,
-    warm: bool,
-    groups: "WarmSessionGroups",
+    pool,
     memo: dict,
     cell_timeout: float | None,
     max_retries: int,
@@ -805,8 +742,12 @@ def _run_cell_with_retries(
 ) -> dict:
     """Run one cell under the fault-tolerance contract.
 
-    Each attempt runs under the per-cell deadline; a failing attempt in
-    warm mode first tears down the cell's session group (closing its
+    A cold cell (*pool* ``None``) builds its dataset from *memo*; a warm
+    cell leases its group's session from *pool*, a
+    :class:`~repro.serve.pool.SessionPool`, which reopens a session a
+    dynamic cell mutated.  Each attempt runs under the per-cell
+    deadline; a failing attempt in warm mode first drops the cell's
+    group from the pool (closing its
     :class:`~repro.api.session.AllocationSession` and worker pool — a
     poisoned session is never reused and never orphans its pool), then
     backs off exponentially and retries.  After ``1 + max_retries``
@@ -827,17 +768,19 @@ def _run_cell_with_retries(
                     if rule is not None and rule.delay_s:
                         time.sleep(rule.delay_s)
                     plan.maybe_raise("cell.raise", key=cell.cell_id)
-                session = groups.session_for(cell) if warm else None
-                row = run_cell(
-                    spec, cell, config, session=session, dataset_memo=memo
-                )
+                if pool is None:
+                    dataset = _cell_dataset(cell.dataset, memo)
+                    row = run_cell(spec, cell, config, dataset)
+                else:
+                    entry, _ = pool.lease(cell)
+                    row = run_cell(spec, cell, config, entry.dataset, entry.session)
         except Exception as exc:
-            if warm:
+            if pool is not None:
                 # The group's session state is unknown after a failure
-                # (a timeout can interrupt a solve anywhere): tear it
-                # down now; the next attempt — or the group's next cell
-                # — reopens a fresh session lazily.
-                groups.close_group(session_group_key(cell.dataset))
+                # (a timeout can interrupt a solve anywhere): drop it
+                # now; the next attempt — or the group's next cell —
+                # leases a fresh one.
+                pool.discard(cell.pool_key)
             if attempts > max_retries:
                 return _error_row(spec, cell, exc, attempts)
             if retry_backoff:
@@ -1021,16 +964,19 @@ def run_grid(
     if warm:
         # Group-contiguous execution: one session opens, serves all of
         # its group's pending cells, and closes before the next group.
-        keys = [session_group_key(cell.dataset) for cell in cells]
+        keys = [cell.pool_key for cell in cells]
         first_seen: dict[str, int] = {}
         for index, key in enumerate(keys):
             first_seen.setdefault(key, index)
         order.sort(key=lambda index: (first_seen[keys[index]], index))
+    # Imported here: the serve package imports this module.
+    from repro.serve.pool import SessionPool
+
     memo: dict[str, Dataset] = {}
     rows_by_id: dict[str, dict] = {**quarantined, **completed}
-    with open(manifest_path, "a", encoding="utf-8") as fh, WarmSessionGroups(
-        config, memo
-    ) as groups:
+    with open(manifest_path, "a", encoding="utf-8") as fh, (
+        SessionPool(config) if warm else nullcontext()
+    ) as pool:
         for done, index in enumerate(order, start=1):
             cell = cells[index]
             row = completed.get(cell.cell_id)
@@ -1039,8 +985,7 @@ def run_grid(
                     spec,
                     cell,
                     config,
-                    warm=warm,
-                    groups=groups,
+                    pool=pool,
                     memo=memo,
                     cell_timeout=cell_timeout,
                     max_retries=max_retries,
@@ -1053,7 +998,7 @@ def run_grid(
             if warm and (
                 done == len(order) or keys[order[done]] != keys[index]
             ):
-                groups.close_group(keys[index])
+                pool.drop(keys[index])
             if progress is not None:
                 progress(done, len(cells), row)
     return [rows_by_id[cell.cell_id] for cell in cells]

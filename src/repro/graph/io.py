@@ -25,6 +25,7 @@ seconds.
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass
 from zipfile import BadZipFile
 
@@ -63,14 +64,20 @@ def _parse_header_tokens(line: bytes, header: dict) -> None:
             continue
 
 
-def _parse_data_lines(lines: list[bytes], path: str) -> np.ndarray:
+def _parse_data_lines(
+    lines: list[bytes], path: str, block: bytes, first_line: int
+) -> np.ndarray:
     """Parse complete data lines into an ``(k, 2) int64`` array.
 
     Fast path: when every line has exactly two tokens (the overwhelmingly
     common case), the token stream is converted with a single vectorized
     ``np.array`` call.  Lines with extra columns (edge weights,
     timestamps) fall back to a per-line loop that keeps the first two
-    tokens, and short or non-integer lines raise :class:`GraphError`.
+    tokens, and short or non-integer lines raise :class:`GraphError`
+    naming the line's number in the file (*block* is the text *lines*
+    came from, starting at line *first_line*) but not its bytes, so an
+    error message never echoes the content of a file that is not an
+    edge list.
     """
     split_lines = [line.split() for line in lines]
     if all(len(parts) == 2 for parts in split_lines):
@@ -81,20 +88,25 @@ def _parse_data_lines(lines: list[bytes], path: str) -> np.ndarray:
             pass  # a non-integer token somewhere: diagnose line by line
     pairs = np.empty((len(lines), 2), dtype=np.int64)
     for k, parts in enumerate(split_lines):
-        if len(parts) < 2:
-            raise GraphError(
-                f"malformed edge line in {path!r}: "
-                f"{lines[k].decode('ascii', 'replace')!r}"
-            )
         try:
             pairs[k, 0] = int(parts[0])
             pairs[k, 1] = int(parts[1])
-        except ValueError as exc:
+        except (IndexError, ValueError, OverflowError):
+            line = first_line + _data_line_offsets(block)[k]
             raise GraphError(
-                f"malformed edge line in {path!r}: "
-                f"{lines[k].decode('ascii', 'replace')!r} ({exc})"
+                f"malformed edge line {line} in {path!r}: "
+                "expected two integer node ids"
             ) from None
     return pairs
+
+
+def _data_line_offsets(block: bytes) -> list[int]:
+    """Offsets of *block*'s data lines among all its lines (error path)."""
+    return [
+        index
+        for index, raw in enumerate(block.split(b"\n"))
+        if raw.strip() and not raw.strip().startswith(_COMMENT_PREFIXES)
+    ]
 
 
 def _split_block(block: bytes) -> tuple[list[bytes], list[bytes]]:
@@ -122,18 +134,32 @@ def read_edge_array(
     *chunk_bytes*.  ``#``/``%`` lines are comments; ``key=value`` integer
     tokens found in them (``n=``, ``dedupe=``, ``loops=``) are returned in
     *header*.  Data lines need at least two integer columns (``tail
-    head``); extra columns are ignored.  A missing or unreadable *path*
-    raises :class:`GraphError`.
+    head``); extra columns are ignored.  A missing or unreadable *path*,
+    or one that is not a regular file (a device or pipe), raises
+    :class:`GraphError`.
     """
     if chunk_bytes < 1:
         raise GraphError(f"chunk_bytes must be positive, got {chunk_bytes}")
-    header: dict = {}
-    blocks: list[np.ndarray] = []
-    carry = b""
     try:
+        # A device or pipe may never end or never hold a newline, and
+        # fspath refuses an integer, which open() takes as a descriptor.
+        if not stat.S_ISREG(os.stat(os.fspath(path)).st_mode):
+            raise GraphError(f"cannot read edge list {path!r}: not a regular file")
         fh = open(path, "rb")
     except OSError as exc:
         raise GraphError(f"cannot read edge list {path!r}: {exc.strerror}") from None
+    header: dict = {}
+    blocks: list[np.ndarray] = []
+
+    def parse(block: bytes, first_line: int) -> None:
+        data_lines, comment_lines = _split_block(block)
+        for comment in comment_lines:
+            _parse_header_tokens(comment, header)
+        if data_lines:
+            blocks.append(_parse_data_lines(data_lines, path, block, first_line))
+
+    carry = b""
+    carry_line = 1  # the file line carry starts on
     with fh:
         while True:
             data = fh.read(chunk_bytes)
@@ -145,17 +171,10 @@ def read_edge_array(
                 carry = buf
                 continue
             carry = buf[cut + 1 :]
-            data_lines, comment_lines = _split_block(buf[:cut])
-            for line in comment_lines:
-                _parse_header_tokens(line, header)
-            if data_lines:
-                blocks.append(_parse_data_lines(data_lines, path))
+            parse(buf[:cut], carry_line)
+            carry_line += buf.count(b"\n", 0, cut) + 1
     if carry.strip():
-        data_lines, comment_lines = _split_block(carry)
-        for line in comment_lines:
-            _parse_header_tokens(line, header)
-        if data_lines:
-            blocks.append(_parse_data_lines(data_lines, path))
+        parse(carry, carry_line)
     if blocks:
         pairs = np.concatenate(blocks, axis=0)
         tails = np.ascontiguousarray(pairs[:, 0])

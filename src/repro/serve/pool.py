@@ -1,16 +1,21 @@
 """The warm :class:`~repro.api.session.AllocationSession` pool behind
-``repro serve``.
+``repro serve`` and warm grid runs.
 
-A :class:`SessionPool` maps :func:`repro.serve.schema.pool_key` — the
-``(dataset, probability family)`` identity of a query, and the grid
-runner's session-group key — to one live session, so every query over
-the same graph + probs rides the same RR stores, KPT estimators,
-pagerank orders and worker pool.  It makes the three service decisions
-the batch runners never had to:
+A :class:`SessionPool` maps a cell's
+:attr:`~repro.experiments.grid.GridCell.pool_key` — the ``(dataset,
+probability family)`` identity of a serve query or a grid cell — to one
+live session, so every solve over the same graph + probs rides the same
+RR stores, KPT estimators, pagerank orders and worker pool.  ``repro
+serve`` leases a session per query; ``run_grid``'s
+``warm_per_dataset`` mode leases one per cell and drops each group's
+session once its last cell finishes (or fails).  The pool makes three
+decisions:
 
 * **Warm routing.**  :meth:`lease` returns the key's existing session
   (a *warm hit* — the solve adopts already-drawn RR sets) or builds the
-  dataset and opens a fresh session (a *cold miss*), counting both.
+  dataset and opens a fresh session (a *cold miss*), counting both.  A
+  session whose graph was mutated no longer answers for its key: it is
+  closed and reopened on the same dataset.
 * **LRU eviction under a global byte budget.**  Sessions report their
   *measured* store footprint (``session.stats["store_bytes"]`` — the
   narrowed/spilled member accounting from the memory-bounded stores,
@@ -21,11 +26,11 @@ the batch runners never had to:
 * **Lifecycle.**  :meth:`close` closes every session (idempotent, and
   what the server's drain path calls), so a clean shutdown leaves no
   ``SharedGraphPool`` shared-memory segments behind.  A session leaving
-  the pool (evicted, discarded or closed) takes its dataset out of the
-  build cache, unless a live session still uses it.  A failed query's
-  session is :meth:`discard`-ed rather than reused (the PR 6 rule: a
-  poisoned session's state is unknown — tear it down, the next query
-  reopens cold).
+  the pool (evicted, dropped, discarded or closed) takes its dataset out
+  of the build cache, unless a live session still uses it.  A failed
+  solve's session is :meth:`discard`-ed rather than reused (a poisoned
+  session's state is unknown — tear it down, the next lease reopens
+  cold).
 
 The pool is *not* thread-safe by itself: the server's single solver
 loop is the only mutator, and the server serializes :meth:`stats`
@@ -43,7 +48,7 @@ from repro.errors import ServeError
 from repro.api.session import AllocationSession
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import Dataset, forget_dataset
-from repro.serve.schema import QueryRequest
+from repro.experiments.grid import GridCell, _cell_dataset
 
 
 @dataclass
@@ -108,40 +113,39 @@ class SessionPool:
     # ------------------------------------------------------------------
     # Leasing
     # ------------------------------------------------------------------
-    def lease(self, request: QueryRequest) -> tuple[PoolEntry, bool]:
-        """The entry serving *request*; ``(entry, warm)``.
+    def lease(self, request: GridCell) -> tuple[PoolEntry, bool]:
+        """The entry serving *request*, a cell or query; ``(entry, warm)``.
 
         Marks the entry most-recently-used.  A cold miss builds the
-        dataset (synthetic analog or ingested edge list — the same
-        routing as the grid runner's
-        :func:`~repro.experiments.grid._cell_dataset`) and opens one
-        :class:`AllocationSession` on its graph.  An entry that cannot
-        be built raises a :mod:`repro.errors` type before any session
-        opens; the server answers it 400.
+        dataset (synthetic analog or ingested edge list — the grid
+        runner's :func:`~repro.experiments.grid._cell_dataset`) and opens
+        one :class:`AllocationSession` on its graph.  An entry that
+        cannot be built raises a :mod:`repro.errors` type before any
+        session opens; the server answers it 400.
         """
         if self._closed:
             raise ServeError("session pool is closed")
         key = request.pool_key
         entry = self._entries.get(key)
+        dataset = None
         if entry is not None and entry.session.graph_epoch != 0:
             # The session's graph was mutated since the pool opened it
             # (apply_edge_updates bumped graph_epoch), so it no longer
             # answers for the dataset entry the pool key names — a warm
             # hit here would serve results for a graph the client never
             # asked about.  Discard it and reopen cold below
-            # (docs/ARCHITECTURE.md §14), on the same cached dataset.
+            # (docs/ARCHITECTURE.md §14), on the same dataset.
             self._entries.pop(key)
             entry.session.close()
             self.counters["stale_discards"] += 1
-            entry = None
+            dataset, entry = entry.dataset, None
         if entry is not None:
             self._entries.move_to_end(key)
             self.counters["warm_hits"] += 1
             warm = True
         else:
-            from repro.experiments.grid import _cell_dataset
-
-            dataset = _cell_dataset(dict(request.dataset), memo={})
+            if dataset is None:
+                dataset = _cell_dataset(request.dataset, memo={})
             session = AllocationSession(
                 dataset.graph, spec=self.config.engine_spec(opt_lower="kpt")
             )
@@ -170,17 +174,25 @@ class SessionPool:
             entry.peak_store_bytes = int(stats["peak_store_bytes"])
         return self.evict_over_budget(protect=key)
 
-    def discard(self, key: str) -> None:
-        """Close and drop *key*'s session (failed/timed-out query path).
+    def drop(self, key: str) -> bool:
+        """Close and drop *key*'s session; whether one was pooled.
 
-        A solve interrupted anywhere leaves the session's warm state
-        unknown, so — exactly like the grid runner's quarantine path —
-        the session is never reused; the next query on this key opens a
-        fresh one.
+        ``run_grid`` drops each warm group once its last cell finishes,
+        so a grid holds one dataset's stores at a time.
         """
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._drop(entry)
+        return entry is not None
+
+    def discard(self, key: str) -> None:
+        """:meth:`drop` a failed or timed-out solve's session, counted.
+
+        A solve interrupted anywhere leaves the session's warm state
+        unknown, so it is never reused; the next lease on this key opens
+        a fresh one.
+        """
+        if self.drop(key):
             self.counters["discards"] += 1
 
     # ------------------------------------------------------------------

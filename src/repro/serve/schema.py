@@ -1,25 +1,23 @@
 """Request/response schema of the ``repro serve`` allocation service.
 
-One allocation query is a :class:`QueryRequest`: a grid-style *dataset
-entry* (which fully determines the graph **and** the probability family;
-:func:`pool_key` is the grid's
-:func:`~repro.experiments.grid.session_group_key`, so both layers key
-warm sessions alike) plus the per-query axes a warm
+One allocation query is a :class:`QueryRequest`: a
+:class:`~repro.experiments.grid.GridCell` — a grid-style *dataset entry*
+(which fully determines the graph **and** the probability family, and
+so the cell's :attr:`~repro.experiments.grid.GridCell.pool_key`, the
+grid's session-group key) plus the per-query axes a warm
 :class:`~repro.api.session.AllocationSession` re-solves cheaply:
-algorithm, ``h``, budget, CPE, incentive model, α, TI-CSRM window and
-the RNG seed.  Deliberately *absent* are engine knobs (``eps``,
-``theta_cap``, ``workers``, byte budgets): those are fixed
-by the daemon's :class:`~repro.experiments.config.ExperimentConfig` at
+algorithm, ``h``, budget, CPE, incentive model, α and TI-CSRM window —
+and the query's RNG seed.  Deliberately *absent* are engine knobs
+(``eps``, ``theta_cap``, ``workers``, byte budgets): those are fixed by
+the daemon's :class:`~repro.experiments.config.ExperimentConfig` at
 startup, because a session pins them for its lifetime — a query that
 could flip them would silently fork the pool key space.
 
 Requests and responses are plain JSON objects; :meth:`QueryRequest.from_dict`
-rejects unknown keys and invalid axis values — non-finite numbers
-included, since the daemon's JSON parser accepts ``NaN`` and
-``Infinity`` — with :class:`~repro.errors.ServeError` (the server maps
-that to HTTP 400).  ``alpha``, ``budget`` and ``cpe`` must be positive,
-as :meth:`~repro.experiments.datasets.Dataset.build_instance` requires.
-:func:`result_payload` serializes an
+rejects unknown keys and invalid axis values — the cell's own checks,
+non-finite numbers included, since the daemon's JSON parser accepts
+``NaN`` and ``Infinity`` — with :class:`~repro.errors.ServeError` (the
+server maps that to HTTP 400).  :func:`result_payload` serializes an
 :class:`~repro.core.allocation.AllocationResult` losslessly — seed sets
 in insertion order, per-ad revenue/cost floats untouched — so a served
 response can be compared byte-for-byte against a direct
@@ -31,77 +29,41 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro._checks import check_int, check_number
+from repro._checks import check_int
 from repro.errors import ServeError
-from repro.api.registry import algorithm_names
 from repro.core.allocation import AllocationResult
-from repro.experiments.grid import dataset_label
+from repro.experiments.grid import GridCell
 from repro.experiments.grid import session_group_key as pool_key
-from repro.incentives.models import INCENTIVE_MODELS
 
 
 @dataclass(frozen=True)
-class QueryRequest:
-    """One allocation query, validated at construction.
+class QueryRequest(GridCell):
+    """One allocation query: a cell plus its seed, validated at construction.
 
     ``dataset`` is a grid-style entry (``{"name": ...}`` for a synthetic
     analog or ``{"path": ...}`` for an ingested edge list, plus builder
     keyword arguments such as ``n``/``h``/``probs``).  ``h``, ``budget``
     and ``cpe`` override the built dataset's marketplace per query —
     exactly the knobs of
-    :meth:`repro.experiments.datasets.Dataset.build_instance`.  ``seed``
-    is the query's RNG seed; ``None`` falls back to the daemon config's
-    seed, and the *effective* seed is echoed in the response, so every
-    response is reproducible offline.
+    :meth:`repro.experiments.datasets.Dataset.build_instance`.  Valid
+    numbers are stored normalized (``float``/``int``), so the echoed
+    query is canonical.  ``seed`` is the query's RNG seed; ``None``
+    falls back to the daemon config's seed, and the *effective* seed is
+    echoed in the response, so every response is reproducible offline.
     """
 
-    dataset: dict
-    algorithm: str = "TI-CSRM"
-    h: int | None = None
-    budget: float | None = None
-    cpe: float | None = None
-    incentive_model: str = "linear"
-    alpha: float = 1.0
-    window: int | None = None
     seed: int | None = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.dataset, dict):
-            raise ServeError(
-                f"dataset must be an object like {{'name': ...}}, got "
-                f"{self.dataset!r}"
-            )
-        try:
-            dataset_label(self.dataset)
-        except Exception as exc:
-            raise ServeError(str(exc)) from None
-        object.__setattr__(self, "dataset", dict(self.dataset))
-        if self.algorithm not in algorithm_names():
-            raise ServeError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"options: {list(algorithm_names())}"
-            )
-        if (
-            not isinstance(self.incentive_model, str)
-            or self.incentive_model not in INCENTIVE_MODELS
-        ):
-            raise ServeError(
-                f"unknown incentive model {self.incentive_model!r}; "
-                f"options: {sorted(INCENTIVE_MODELS)}"
-            )
-        for name in ("alpha", "budget", "cpe"):
-            value = check_number(getattr(self, name), name, error=ServeError,
-                                 positive=True, optional=name != "alpha")
-            object.__setattr__(self, name, value)
-        for name, minimum in (("h", 1), ("window", 1), ("seed", 0)):
-            value = check_int(getattr(self, name), name, error=ServeError,
-                              minimum=minimum, optional=True)
-            object.__setattr__(self, name, value)
+    _error = ServeError
+    _normalize = True
 
-    @property
-    def pool_key(self) -> str:
-        """The session-pool key: the query's dataset entry, digested."""
-        return pool_key(self.dataset)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(
+            self,
+            "seed",
+            check_int(self.seed, "seed", error=ServeError, minimum=0, optional=True),
+        )
 
     # ------------------------------------------------------------------
     # Serialization

@@ -69,13 +69,25 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import faults as _faults
-from repro.errors import CellTimeoutError, ReproError, ServeError
+from repro.errors import (
+    CellTimeoutError,
+    GraphError,
+    InstanceError,
+    ServeError,
+    SpecError,
+    TopicModelError,
+)
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import session_deltas, solve_cell
 from repro.serve.pool import SessionPool
 from repro.serve.schema import QueryRequest, error_payload, result_payload
 
 #: Default bound on queued-but-unsolved queries (backpressure threshold).
 DEFAULT_QUEUE_SIZE = 16
+
+#: What building a query's dataset entry or marketplace raises: query
+#: input at fault (400), found before the session solves.
+INPUT_ERRORS = (GraphError, InstanceError, SpecError, TopicModelError)
 
 
 @dataclass(frozen=True)
@@ -357,35 +369,22 @@ class ReproServer:
             if rule is not None and rule.delay_s:
                 time.sleep(rule.delay_s)
         from repro.experiments.grid import _cell_deadline
-        from repro.experiments.harness import run_algorithm
 
         remaining = None if timeout is None else max(timeout - waited, 1e-3)
+        effective_seed = (
+            request.seed if request.seed is not None else self.config.config.seed
+        )
         with self._pool_lock:
-            instance = None
             try:
                 entry, warm = self.pool.lease(request)
-                instance = entry.dataset.build_instance(
-                    incentive_model=request.incentive_model,
-                    alpha=request.alpha,
-                    h=request.h,
-                    budget_override=request.budget,
-                    cpe_override=request.cpe,
-                )
                 before = entry.session.stats
-                effective_seed = (
-                    request.seed
-                    if request.seed is not None
-                    else self.config.config.seed
-                )
                 with _cell_deadline(remaining):
-                    result = run_algorithm(
-                        request.algorithm,
+                    result, _ = solve_cell(
+                        request,
                         entry.dataset,
-                        instance,
                         self.config.config,
-                        window=request.window,
-                        seed=effective_seed,
-                        session=entry.session,
+                        effective_seed,
+                        entry.session,
                     )
             except CellTimeoutError as exc:
                 self.pool.discard(key)
@@ -394,12 +393,12 @@ class ReproServer:
                 job.respond(504, error_payload("QueryTimeout", str(exc)))
                 return
             except Exception as exc:
-                if isinstance(exc, ReproError) and instance is None:
+                if isinstance(exc, INPUT_ERRORS):
                     # Query input that cannot be built: a dataset entry
                     # no builder takes (no session exists for it yet), or
                     # a marketplace the dataset refuses, say one where no
-                    # incentive fits its budget.  The session is
-                    # untouched, so it stays pooled and warm.
+                    # incentive fits its budget.  Both fail before the
+                    # session solves, so it stays pooled and warm.
                     self.pool.release(key)
                     status = 400
                 else:
@@ -425,10 +424,7 @@ class ReproServer:
                     "pool_key": key,
                     "warm_session": warm,
                     "solve_index": after["solves"] - 1,
-                    "sample_batches": after["sample_batches"] - before["sample_batches"],
-                    "sets_sampled": after["sets_sampled"] - before["sets_sampled"],
-                    "store_hits": after["store_hits"] - before["store_hits"],
-                    "store_misses": after["store_misses"] - before["store_misses"],
+                    **session_deltas(before, after),
                     "store_bytes": after["store_bytes"],
                     "queue_wait_s": round(waited, 4),
                     "evicted": evicted,

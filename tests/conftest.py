@@ -6,12 +6,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.ads import Advertiser
 from repro.core.instance import RMInstance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import build_dataset
 from repro.graph.digraph import DiGraph
+
+#: Any value a JSON parser hands a spec or query parser: null, booleans,
+#: integers too large for a float, NaN and ±inf (Python's json accepts
+#: both literals), strings, lists and nested objects.
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-3, max_value=10**400),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=8),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
 
 #: Tolerance of every RR-estimate-vs-exact-spread check, in binomial
 #: standard errors of ``n · F_R(S)`` (see :func:`spread_se`).

@@ -223,6 +223,15 @@ class TestMalformedInput:
         assert err.count("\n") == 1
 
 
+def test_grid_spec_without_datasets_exits_2(tmp_path, capsys):
+    """A spec missing a required key fails with one typed error line."""
+    path = tmp_path / "spec.json"
+    path.write_text('{"name": "x"}')
+    assert main(["grid", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SpecError: ") and err.count("\n") == 1
+
+
 class TestIngestCommand:
     def test_ingest_reports_stats(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

@@ -26,6 +26,15 @@ class TestAdvertiser:
         with pytest.raises(InstanceError):
             Advertiser(index=0, cpe=1.0, budget=-2.0)
 
+    @pytest.mark.parametrize("field", ["cpe", "budget"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cpe_and_budget_rejected(self, field, bad):
+        """NaN passes a ``<= 0`` check; NaN or ±inf then dies mid-solve
+        or poisons a payment."""
+        kwargs = {"cpe": 1.0, "budget": 1.0, field: bad}
+        with pytest.raises(InstanceError, match="finite and positive"):
+            Advertiser(index=0, **kwargs)
+
 
 def _graph():
     return DiGraph.from_edge_list([(0, 1), (1, 2)], n=3)
@@ -101,6 +110,14 @@ class TestRMInstance:
         ``ValueError: cannot convert float NaN to integer``."""
         with pytest.raises(InstanceError, match="finite and non-negative"):
             _make(incentive_rows=[np.array([1.0, bad, 1.0])])
+
+    def test_overflowing_cpe_times_n_rejected(self):
+        """A first payment is cpe · n · 0 = inf · 0 = NaN when cpe · n
+        overflows, and NaN > budget is False: the ad would overspend."""
+        g = _graph()
+        advs = [Advertiser(index=0, cpe=1e308, budget=10.0)]
+        with pytest.raises(InstanceError, match="not finite"):
+            RMInstance(g, advs, [np.full(g.m, 0.5)], [np.ones(g.n)])
 
     def test_degenerate_budget_rejected(self):
         # Every node's incentive exceeds the budget: no affordable seed.

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ti_engine import TIEngine
-from repro.errors import SpecError
+from repro.errors import InstanceError, SpecError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import (
     GridCell,
     GridSpec,
-    clear_grid_caches,
     grid_table_rows,
     load_manifest,
     run_grid,
 )
+from tests.conftest import JSON_VALUES
 
 SMOKE = {
     "name": "smoke",
@@ -55,13 +55,6 @@ def _record_engines(monkeypatch, *, eager: bool = False) -> list:
 
 def _strip(row: dict) -> dict:
     return {k: v for k, v in row.items() if k != "runtime_s"}
-
-
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_grid_caches()
-    yield
-    clear_grid_caches()
 
 
 class TestGridSpec:
@@ -113,10 +106,10 @@ class TestGridSpec:
     def test_cell_seed_depends_on_root_and_cell(self):
         spec = GridSpec.from_dict(SMOKE)
         cells = spec.cells()
-        seeds = [cell.seed(spec.seed) for cell in cells]
+        seeds = [cell.seed_for(spec.seed) for cell in cells]
         assert len(set(seeds)) == len(seeds)
-        assert [cell.seed(spec.seed) for cell in cells] == seeds  # stable
-        assert cells[0].seed(spec.seed + 1) != seeds[0]
+        assert [cell.seed_for(spec.seed) for cell in cells] == seeds  # stable
+        assert cells[0].seed_for(spec.seed + 1) != seeds[0]
 
     def test_cell_id_order_independent(self):
         # A cell's identity (and thus its seed) does not change when the
@@ -371,6 +364,22 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             GridSpec.from_dict({**SMOKE, **override})
 
+    def test_spec_without_datasets_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="'datasets'"):
+            GridSpec.from_dict({"name": "x"})
+
+    @pytest.mark.parametrize("entry", [{"path": 3}, {"name": 5}, {"name": None}])
+    def test_dataset_name_and_path_must_be_strings(self, entry):
+        """An integer path would be opened as a file descriptor."""
+        with pytest.raises(SpecError, match="must be a string"):
+            GridSpec.from_dict({**SMOKE, "datasets": [entry]})
+
+    @pytest.mark.parametrize("axis", ["algorithms", "alphas", "windows"])
+    def test_empty_axis_rejected(self, axis):
+        """An empty axis would leave no cell to check the others on."""
+        with pytest.raises(SpecError, match="at least one value"):
+            GridSpec.from_dict({**SMOKE, axis: []})
+
     def test_valid_axis_values_kept_as_spelled(self):
         """Validation never rewrites an axis: every value enters the
         cell id, and so the cell seed, exactly as the spec spells it."""
@@ -382,21 +391,6 @@ class TestSpecValidation:
         assert spec.budgets == (None, 40)
 
 
-_JSON_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-3, max_value=10**20),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.text(max_size=8),
-)
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=3),
-        st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    ),
-    max_leaves=6,
-)
 _SPEC_KEYS = (
     "name",
     "datasets",
@@ -424,12 +418,32 @@ _BLOCK_KEYS = (
 
 
 @settings(max_examples=300, deadline=None)
-@given(key=st.sampled_from(_SPEC_KEYS), value=_JSON_VALUES)
+@given(key=st.sampled_from(_SPEC_KEYS), value=JSON_VALUES)
 def test_any_json_value_on_any_axis_constructs_or_raises_spec_error(key, value):
     """Fuzz: whatever JSON lands on an axis, parsing either yields a
     spec or raises SpecError — never a bare TypeError or ValueError."""
     try:
         GridSpec.from_dict({**SMOKE, key: value})
+    except SpecError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    overrides=st.dictionaries(st.sampled_from(_SPEC_KEYS), JSON_VALUES, max_size=3),
+    dropped=st.sets(st.sampled_from(_SPEC_KEYS), max_size=3),
+    entry=st.dictionaries(
+        st.sampled_from(("name", "path", "n", "h")), JSON_VALUES, max_size=2
+    ),
+)
+def test_any_json_spec_builds_or_raises_spec_error(overrides, dropped, entry):
+    """Fuzz the whole parser: any keys missing, any JSON on several keys
+    at once, and any JSON in a dataset entry."""
+    data = {**SMOKE, "datasets": [{**SMOKE["datasets"][0], **entry}], **overrides}
+    for key in dropped:
+        data.pop(key, None)
+    try:
+        GridSpec.from_dict(data)
     except SpecError:
         pass
 
@@ -460,7 +474,6 @@ class TestEdgeListCells:
             }
         )
         rows1 = run_grid(spec, str(tmp_path / "m1.jsonl"))
-        clear_grid_caches()
         rows2 = run_grid(spec, str(tmp_path / "m2.jsonl"))
         assert [_strip(r) for r in rows1] == [_strip(r) for r in rows2]
         assert rows1[0]["dataset"] == "el"
@@ -507,6 +520,14 @@ UNBUILDABLE_ENTRIES = [
 
 
 class TestUnbuildableEntries:
+    def test_overflowing_cpe_cell_is_quarantined(self, tmp_path):
+        """cpe · n overflows: the cell would otherwise report revenue inf."""
+        spec = GridSpec.from_dict(
+            {**SMOKE, "cpes": [1e308], "algorithms": ["TI-CSRM"], "alphas": [1.0]}
+        )
+        (row,) = run_grid(spec, str(tmp_path / "m.jsonl"))
+        assert (row["kind"], row["error_type"]) == ("cell_error", "InstanceError")
+
     @pytest.mark.parametrize("entry,error_type,names", UNBUILDABLE_ENTRIES)
     def test_cells_quarantine_with_a_typed_error(
         self, tmp_path, entry, error_type, names
@@ -538,9 +559,25 @@ class TestGridCell:
         assert params["h"] == 5 and params["window"] == 100
         assert len(cell.cell_id) == 16
 
+    def test_cell_keeps_spelling_and_query_normalizes(self):
+        """A cell's values enter its id, so it keeps them as spelled; a
+        query, the same cell plus a seed, echoes them normalized."""
+        from repro.serve.schema import QueryRequest
+
+        cell = GridCell(dataset={"name": "epinions_syn"}, h=2.0, alpha=1)
+        assert (cell.h, cell.alpha) == (2.0, 1)
+        assert isinstance(cell.h, float) and isinstance(cell.alpha, int)
+        query = QueryRequest(dataset={"name": "epinions_syn"}, h=2.0, alpha=1)
+        assert isinstance(query, GridCell) and query.pool_key == cell.pool_key
+        assert isinstance(query.h, int) and isinstance(query.alpha, float)
+
+    def test_bad_axis_is_an_instance_error(self):
+        with pytest.raises(InstanceError, match="alpha"):
+            GridCell(dataset={"name": "epinions_syn"}, alpha=0)
+
 
 @settings(max_examples=300, deadline=None)
-@given(block_key=st.sampled_from(_BLOCK_KEYS), value=_JSON_VALUES)
+@given(block_key=st.sampled_from(_BLOCK_KEYS), value=JSON_VALUES)
 def test_any_json_value_in_any_block_constructs_or_raises_spec_error(
     block_key, value
 ):

@@ -15,7 +15,6 @@ from repro.experiments.harness import (
     ALGORITHMS,
     evaluate_allocation_mc,
     run_algorithm,
-    run_algorithms,
 )
 
 
@@ -31,13 +30,6 @@ class TestRunAlgorithm:
         inst = quick_dataset.build_instance("linear", 1.0)
         with pytest.raises(InstanceError):
             run_algorithm("TI-MAGIC", quick_dataset, inst, quick_config)
-
-    def test_run_algorithms_collects_all(self, quick_dataset, quick_config):
-        inst = quick_dataset.build_instance("linear", 1.0)
-        results = run_algorithms(
-            quick_dataset, inst, quick_config, algorithms=("TI-CSRM", "TI-CARM")
-        )
-        assert set(results) == {"TI-CSRM", "TI-CARM"}
 
     def test_mc_revalidation_same_order_of_magnitude(self, quick_dataset, quick_config):
         """With theta capped far below L(s, eps) the adaptive selection

@@ -49,7 +49,6 @@ from repro.errors import (
 from repro.experiments.datasets import build_dataset
 from repro.experiments.grid import (
     GridSpec,
-    clear_grid_caches,
     load_manifest,
     run_grid,
 )
@@ -87,11 +86,9 @@ GRID = {
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    clear_grid_caches()
     install_fault_plan(None)
     yield
     install_fault_plan(None)
-    clear_grid_caches()
 
 
 @pytest.fixture(scope="module")

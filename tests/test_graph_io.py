@@ -1,5 +1,7 @@
 """Round-trip and ingestion tests for graph persistence."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,29 @@ class TestChunkedReader:
         (tmp_path / "g.txt").write_text("# n=5\n0 1\n# n=99\n")
         _, _, header = read_edge_array(str(tmp_path / "g.txt"))
         assert header["n"] == 5
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 1 << 20])
+    def test_malformed_line_named_by_number_not_content(self, tmp_path, chunk_bytes):
+        """The error names the line, never its bytes: a file that is not
+        an edge list must not leak its content through the message."""
+        path = tmp_path / "notes.txt"
+        path.write_text("0 1\n# comment\n\n1 2\nsecret-token here\n2 3\n")
+        with pytest.raises(GraphError, match="line 5") as info:
+            read_edge_array(str(path), chunk_bytes=chunk_bytes)
+        assert "secret" not in str(info.value)
+
+    def test_id_overflowing_int64_is_a_graph_error(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n99999999999999999999999 2\n")
+        with pytest.raises(GraphError, match="line 2"):
+            read_edge_array(str(path))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_device_refused_before_reading(self):
+        """A device may never end (``/dev/zero`` never holds a newline),
+        so anything but a regular file is refused unread."""
+        with pytest.raises(GraphError, match="not a regular file"):
+            read_edge_array("/dev/null")
 
 
 class TestIngestEdgeList:

@@ -20,7 +20,6 @@ from repro.experiments.grid import (
     GridSpec,
     _cell_dataset,
     cell_update_schedule,
-    clear_grid_caches,
     run_grid,
 )
 from repro.graph.updates import compile_updates, random_update_schedule
@@ -36,13 +35,6 @@ DYNAMIC = {
     "config": {"eps": 1.0, "theta_cap": 120},
     "mutations": {"batches": 2, "edges_per_batch": 6, "prob": 0.1},
 }
-
-
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_grid_caches()
-    yield
-    clear_grid_caches()
 
 
 @pytest.fixture

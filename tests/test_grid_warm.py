@@ -10,13 +10,12 @@ import json
 
 import pytest
 
-import repro.experiments.grid as grid_module
+import repro.serve.pool as pool_module
 from repro.api.registry import register_algorithm, unregister_algorithm
+from repro.api.session import AllocationSession
 from repro.errors import SpecError
 from repro.experiments.grid import (
-    AllocationSession,
     GridSpec,
-    clear_grid_caches,
     load_manifest,
     run_grid,
     session_group_key,
@@ -39,16 +38,10 @@ def _strip(row: dict) -> dict:
     return {k: v for k, v in row.items() if k != "runtime_s"}
 
 
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_grid_caches()
-    yield
-    clear_grid_caches()
-
-
 @pytest.fixture
 def recorded_sessions(monkeypatch):
-    """Record (and expose) every AllocationSession the grid runner opens."""
+    """Record (and expose) every AllocationSession the grid runner opens
+    (warm cells lease theirs from a SessionPool)."""
     created = []
 
     class RecordingSession(AllocationSession):
@@ -56,7 +49,7 @@ def recorded_sessions(monkeypatch):
             super().__init__(*args, **kwargs)
             created.append(self)
 
-    monkeypatch.setattr(grid_module, "AllocationSession", RecordingSession)
+    monkeypatch.setattr(pool_module, "AllocationSession", RecordingSession)
     return created
 
 

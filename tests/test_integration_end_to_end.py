@@ -11,14 +11,19 @@ import numpy as np
 import pytest
 
 import repro
-from repro.experiments.harness import ALGORITHMS, run_algorithm, run_algorithms
+from repro.experiments.harness import ALGORITHMS, run_algorithm
+
+
+def _run_all(dataset, instance, config) -> dict:
+    """Every built-in algorithm on one instance, by name."""
+    return {name: run_algorithm(name, dataset, instance, config) for name in ALGORITHMS}
 
 
 @pytest.fixture(scope="module")
 def sweep_results(quick_dataset, quick_config):
     """One shared mid-α linear run of all four algorithms."""
     instance = quick_dataset.build_instance("linear", 1.5)
-    return instance, run_algorithms(quick_dataset, instance, quick_config)
+    return instance, _run_all(quick_dataset, instance, quick_config)
 
 
 class TestStructuralInvariants:
@@ -68,7 +73,7 @@ class TestPaperShapeClaims:
         """When incentives are expensive, cost-sensitivity must pay off
         against the PageRank heuristics (Figure 2's shape)."""
         instance = quick_dataset.build_instance("linear", 2.5)
-        results = run_algorithms(quick_dataset, instance, quick_config)
+        results = _run_all(quick_dataset, instance, quick_config)
         assert results["TI-CSRM"].total_revenue >= 0.95 * max(
             results["PageRank-GR"].total_revenue,
             results["PageRank-RR"].total_revenue,

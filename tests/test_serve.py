@@ -22,6 +22,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api.session import AllocationSession
 from repro.errors import ServeError
@@ -29,7 +30,7 @@ from repro.experiments import datasets as datasets_module
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import clear_dataset_cache
 from repro.experiments.grid import _cell_dataset, session_group_key
-from repro.experiments.harness import run_algorithm
+from repro.experiments.harness import run_algorithm, solve_cell
 from repro.faults import FaultPlan, FaultRule, fault_plan
 from repro.serve import (
     QueryRequest,
@@ -40,6 +41,7 @@ from repro.serve import (
     result_payload,
 )
 from repro.serve import client as serve_client
+from tests.conftest import JSON_VALUES
 
 #: Cheap estimator settings: every serve test solves tiny analogs.
 CFG = ExperimentConfig(eps=1.0, theta_cap=150, singleton_rr_samples=400, seed=7)
@@ -112,6 +114,14 @@ class TestSchema:
         with pytest.raises(ServeError, match="dataset"):
             QueryRequest(dataset="epinions_syn")
 
+    @pytest.mark.parametrize(
+        "entry", [{"path": 3}, {"name": 5}, {"name": "x", "path": None}]
+    )
+    def test_dataset_name_and_path_must_be_strings(self, entry):
+        """An integer path would be opened as a file descriptor."""
+        with pytest.raises(ServeError, match="must be a string"):
+            QueryRequest.from_dict({"dataset": entry})
+
     def test_pool_key_matches_grid_session_grouping(self):
         """The serve pool key is the grid runner's session-group key:
         same dataset entry → same warm-sharing decision in both layers."""
@@ -119,6 +129,32 @@ class TestSchema:
         assert pool_key(ENTRY).startswith("epinions_syn@")
         assert pool_key(ENTRY) != pool_key({**ENTRY, "n": 81})
         assert pool_key(ENTRY) == pool_key(dict(ENTRY))  # content, not identity
+
+
+_QUERY_KEYS = tuple(f.name for f in dataclasses.fields(QueryRequest))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    overrides=st.dictionaries(st.sampled_from(_QUERY_KEYS), JSON_VALUES, max_size=3),
+    dropped=st.sets(st.sampled_from(_QUERY_KEYS), max_size=2),
+    entry=st.dictionaries(
+        st.sampled_from(("name", "path", "n", "h")), JSON_VALUES, max_size=2
+    ),
+)
+def test_any_json_query_builds_or_raises_serve_error(overrides, dropped, entry):
+    """Fuzz: any keys missing, any JSON on several keys at once, and any
+    JSON in the dataset entry — a query builds or raises ServeError."""
+    data = {"dataset": {**ENTRY, **entry}, "algorithm": "TI-CARM", "h": 2,
+            "seed": 1, **overrides}
+    for key in dropped:
+        data.pop(key, None)
+    try:
+        request = QueryRequest.from_dict(data)
+    except ServeError:
+        return
+    assert QueryRequest.from_dict(request.to_dict()) == request
+    assert isinstance(request.pool_key, str)
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +257,25 @@ class TestSessionPool:
             # The replacement is genuinely healthy: it serves warm next.
             again, warm = pool.lease(request)
             assert warm and again.session is fresh.session
+
+    def test_mutated_session_reopens_on_the_same_dataset(self, tmp_path):
+        """A warm grid's dynamic cells each reopen their group's session;
+        an edge-list dataset must not be re-parsed for every one."""
+        from repro.graph.generators import erdos_renyi
+        from repro.graph.io import save_edge_list
+
+        path = tmp_path / "el.txt"
+        save_edge_list(erdos_renyi(60, 0.08, seed=6), str(path))
+        request = QueryRequest(dataset={"path": str(path), "h": 2, "seed": 5})
+        with SessionPool(CFG) as pool:
+            entry, _ = pool.lease(request)
+            tails, heads = entry.dataset.graph.edge_array()
+            entry.session.apply_edge_updates(
+                [("delete", int(tails[0]), int(heads[0]))]
+            )
+            fresh, warm = pool.lease(request)
+        assert not warm and fresh.session is not entry.session
+        assert fresh.dataset is entry.dataset
 
     def test_closed_pool_refuses_leases(self):
         pool = SessionPool(CFG)
@@ -407,6 +462,84 @@ class TestServerIntegration:
         request = QueryRequest.from_dict({**axes, "seed": 2})
         replayed = result_payload(request, replay[1], effective_seed=2)
         assert _comparable(json.loads(json.dumps(replayed))) == _comparable(second)
+
+
+    def test_served_answers_equal_the_solve_step_on_a_fresh_session(self):
+        """On two pool keys, each served answer is the shared solve
+        step's result for the same cell and seed on a fresh session,
+        byte for byte through result_payload (a repeated query too)."""
+        queries = [
+            {"dataset": dict(ENTRY), "algorithm": "TI-CARM", "seed": 11},
+            {"dataset": dict(OTHER_ENTRY), "algorithm": "TI-CSRM", "h": 1,
+             "cpe": 1.5, "window": 3, "alpha": 0.5, "seed": 12},
+            {"dataset": dict(ENTRY), "algorithm": "TI-CARM", "seed": 11},
+        ]
+        with running_server() as server:
+            served = [
+                serve_client.request(server.address, "/solve", query)
+                for query in queries
+            ]
+        assert [payload["serve"]["warm_session"] for _, payload in served] == [
+            False, False, True
+        ]
+        for query, (status, payload) in zip(queries, served):
+            assert status == 200, payload
+            request = QueryRequest.from_dict(query)
+            dataset = _cell_dataset(request.dataset, memo={})
+            with AllocationSession(
+                dataset.graph, spec=CFG.engine_spec(opt_lower="kpt")
+            ) as session:
+                result, _ = solve_cell(request, dataset, CFG, request.seed, session)
+            local = result_payload(request, result, effective_seed=request.seed)
+            assert json.dumps(_comparable(local), sort_keys=True) == json.dumps(
+                _comparable(payload), sort_keys=True
+            )
+
+
+class TestHostileQueries:
+    """A query's dataset entry names files and its axes reach the engine;
+    none may close, hang or read the daemon's files, or overspend."""
+
+    def test_integer_path_cannot_close_the_listening_socket(self):
+        """Over HTTP, as a client would send it; open() takes an integer
+        path as a file descriptor, here the daemon's listening socket."""
+        with running_server() as server:
+            status, payload = serve_client.request(
+                server.address, "/solve",
+                {"dataset": {"path": server._http.fileno()}}, timeout=30,
+            )
+            assert (status, payload["error_type"]) == (400, "ServeError")
+            ok = serve_client.query(server.address, dataset=dict(ENTRY), seed=1)
+        assert ok["status"] == "ok"
+
+    def test_device_path_refused_unread(self):
+        with running_server() as server:
+            status, payload = server.submit({"dataset": {"path": "/dev/null"}})
+        assert (status, payload["error_type"]) == (400, "GraphError")
+        assert "not a regular file" in payload["error"]
+
+    def test_edge_list_error_does_not_echo_the_file(self, tmp_path):
+        secret = tmp_path / "secret.txt"
+        secret.write_text("api-key-1234 do-not-share\n")
+        with running_server() as server:
+            status, payload = server.submit({"dataset": {"path": str(secret)}})
+        assert (status, payload["error_type"]) == (400, "GraphError")
+        assert "api-key" not in json.dumps(payload)
+
+    def test_overflowing_cpe_answers_400_and_keeps_the_session(self):
+        """cpe · n overflows for cpe 1e308: the first payment would be
+        inf · 0 = NaN, which no budget check refuses."""
+        axes = {"dataset": dict(ENTRY), "seed": 4}
+        with running_server() as server:
+            _, first = server.submit(axes)
+            status, payload = server.submit({**axes, "cpe": 1e308})
+            _, again = server.submit(axes)
+            discards = server.pool.counters["discards"]
+        assert (status, payload["error_type"]) == (400, "InstanceError")
+        assert discards == 0
+        assert again["serve"]["warm_session"] is True
+        assert again["serve"]["sets_sampled"] == 0
+        assert _comparable(again) == _comparable(first)
 
 
 # ----------------------------------------------------------------------

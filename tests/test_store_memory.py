@@ -308,9 +308,8 @@ class TestAccountingSurfaces:
         assert not any(os.path.exists(p) for p in spill_paths)
 
     def test_grid_manifest_rows_carry_memory_block(self, tmp_path):
-        from repro.experiments.grid import GridSpec, clear_grid_caches, run_grid
+        from repro.experiments.grid import GridSpec, run_grid
 
-        clear_grid_caches()
         spec = GridSpec.from_dict(
             {
                 "name": "membudget",
@@ -342,12 +341,10 @@ class TestAccountingSurfaces:
             assert memory["spilled_stores"] >= 1
             assert memory["bytes_per_rr_set"] > 0
             assert row["engine_spec"]["rr_bytes_budget"] == 1
-        clear_grid_caches()
 
     def test_warm_grid_session_block_carries_store_bytes(self, tmp_path):
-        from repro.experiments.grid import GridSpec, clear_grid_caches, run_grid
+        from repro.experiments.grid import GridSpec, run_grid
 
-        clear_grid_caches()
         spec = GridSpec.from_dict(
             {
                 "name": "memwarm",
@@ -375,4 +372,3 @@ class TestAccountingSurfaces:
             assert session["peak_store_bytes"] >= session["store_bytes"]
             assert session["bytes_per_rr_set"] > 0
             assert session["spilled_stores"] == 0
-        clear_grid_caches()

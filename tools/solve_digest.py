@@ -14,11 +14,18 @@ the same.  The records cover:
 * spilled stores (``rr_bytes_budget=1``), serial and ``workers=2``;
 * a warm session per worker setting: two solves, one 20-edge batch,
   two solves on the mutated graph, with the mutation report;
-* :class:`~repro.core.oracles.RRStaticOracle`, serial and ``workers=2``.
+* :class:`~repro.core.oracles.RRStaticOracle`, serial and ``workers=2``;
+* the front ends: the ``run_grid`` rows of ``specs/smoke.json``,
+  ``specs/smoke_warm.json``, ``specs/dynamic_smoke.json`` and an inline
+  two-dataset warm spec, each run under its own execution mode and cold;
+  an in-process ``ReproServer``'s answers to a fixed query list; and
+  what ``repro run`` prints for two argument sets.
 
-Each record holds the seed sets, per-ad revenue and seeding cost as
-float hex, theta and seed-size estimates per ad, rounds, the ``memory``
-block and the state of every sampling generator after the solve.
+Each solve record holds the seed sets, per-ad revenue and seeding cost
+as float hex, theta and seed-size estimates per ad, rounds, the
+``memory`` block and the state of every sampling generator after the
+solve.  Front-end records hold what the front end reports, minus wall-clock
+fields (``runtime_s``, ``serve.queue_wait_s``, ``time=``).
 
 Usage: ``python tools/solve_digest.py [--out records.json] [repo_root]``.
 The script puts ``<root>/src`` on ``sys.path`` itself, so a checkout of
@@ -29,9 +36,14 @@ on two cores and starts two-worker pools.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import re
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -49,8 +61,12 @@ from repro.api.solve import resolve_spec  # noqa: E402
 from repro.core.instance import RMInstance  # noqa: E402
 from repro.core.oracles import RRStaticOracle  # noqa: E402
 from repro.core.ti_engine import TIEngine  # noqa: E402
+from repro.cli import main as cli_main  # noqa: E402
+from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.datasets import build_dataset  # noqa: E402
+from repro.experiments.grid import GridSpec, run_grid  # noqa: E402
 from repro.graph.updates import random_update_batch  # noqa: E402
+from repro.serve import ReproServer, ServeConfig  # noqa: E402
 
 ALGORITHMS = ("TI-CSRM", "TI-CARM", "PageRank-GR", "PageRank-RR")
 DATASETS = ("epinions_syn", "flixster_syn")
@@ -135,6 +151,101 @@ def oracle_record(instance, workers) -> dict:
     }
 
 
+#: Grid specs whose rows are recorded: committed files, then inline.
+GRID_SPECS = ("smoke.json", "smoke_warm.json", "dynamic_smoke.json")
+TWO_DATASET_WARM = {
+    "name": "digest_two_datasets",
+    "datasets": [
+        {"name": "epinions_syn", "n": 120, "h": 3, "singleton_rr_samples": 400},
+        {"name": "flixster_syn", "n": 120, "h": 3, "singleton_rr_samples": 400},
+    ],
+    "algorithms": ["TI-CSRM", "TI-CARM"],
+    "h": [None, 2],
+    "budgets": [None, 80],
+    "cpes": [None, 1.5],
+    "windows": [None, 4],
+    "seed": 5,
+    "execution": {"mode": "warm_per_dataset"},
+    "config": {"eps": 1.0, "theta_cap": 150, "opt_lower_mode": "kpt"},
+}
+
+#: Served queries: two pool keys, both algorithms, a repeated query, and
+#: h / budget / CPE / window / incentive overrides.
+SERVE_ENTRIES = (
+    {"name": "epinions_syn", "n": 80, "h": 2, "singleton_rr_samples": 400},
+    {"name": "flixster_syn", "n": 80, "h": 3, "singleton_rr_samples": 400},
+)
+SERVE_QUERIES = (
+    {"dataset": 0, "seed": 1},
+    {"dataset": 0, "algorithm": "TI-CARM", "seed": 2},
+    {"dataset": 1, "seed": 3},
+    {"dataset": 0, "seed": 1},
+    {"dataset": 0, "h": 1, "budget": 60, "seed": 4},
+    {"dataset": 1, "algorithm": "TI-CARM", "cpe": 1.5, "alpha": 0.5, "seed": 5},
+    {"dataset": 1, "window": 3, "seed": 6},
+    {"dataset": 0, "incentive_model": "constant", "alpha": 2.0},
+)
+
+#: ``repro run`` argument sets.
+CLI_RUNS = (
+    ["run", "--dataset", "epinions_syn", "--n", "150", "--h", "3",
+     "--algorithm", "TI-CSRM", "--seed", "9", "--eps", "0.8", "--theta-cap", "300"],
+    ["run", "--dataset", "flixster_syn", "--n", "120", "--h", "2",
+     "--algorithm", "TI-CARM", "--incentives", "constant", "--alpha", "2.0",
+     "--seed", "3", "--eps", "1.0", "--theta-cap", "200", "--share-samples"],
+)
+
+
+def grid_records() -> list[tuple[str, dict]]:
+    specs = [json.loads((ROOT / "specs" / name).read_text()) for name in GRID_SPECS]
+    specs.append(TWO_DATASET_WARM)
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for data in specs:
+            spec = GridSpec.from_dict(data)
+            for mode in dict.fromkeys((spec.execution_mode, "cold")):
+                manifest = str(Path(tmp) / f"{spec.name}_{mode}.jsonl")
+                rows = run_grid(spec, manifest, resume=False, execution=mode)
+                rows = [{k: v for k, v in row.items() if k != "runtime_s"}
+                        for row in rows]
+                out.append((f"grid/{spec.name}/{mode}", {"rows": rows}))
+    return out
+
+
+def serve_records() -> list[tuple[str, dict]]:
+    config = ExperimentConfig(eps=1.0, theta_cap=150, seed=7)
+    server = ReproServer(ServeConfig(config=config))
+    solver = threading.Thread(target=server.run, daemon=True)
+    solver.start()
+    out = []
+    try:
+        for index, query in enumerate(SERVE_QUERIES):
+            query = {**query, "dataset": dict(SERVE_ENTRIES[query["dataset"]])}
+            status, payload = server.submit(query)
+            payload = {k: v for k, v in payload.items() if k != "runtime_s"}
+            if "serve" in payload:
+                payload["serve"] = {
+                    k: v for k, v in payload["serve"].items() if k != "queue_wait_s"
+                }
+            out.append((f"serve/{index}", {"status": status, "payload": payload}))
+    finally:
+        server.begin_drain()
+        solver.join(timeout=60)
+        server.shutdown()
+    return out
+
+
+def cli_records() -> list[tuple[str, dict]]:
+    out = []
+    for index, argv in enumerate(CLI_RUNS):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = cli_main(list(argv))
+        text = re.sub(r" time=\S+s", "", buffer.getvalue())
+        out.append((f"cli/run/{index}", {"exit": code, "stdout": text}))
+    return out
+
+
 def records() -> list[tuple[str, dict]]:
     out = []
     for name in DATASETS:
@@ -168,7 +279,7 @@ def records() -> list[tuple[str, dict]]:
             for workers in (None, 2):
                 out.extend(session_records(dataset, workers))
                 out.append((f"oracle/w{workers}", oracle_record(instance, workers)))
-    return out
+    return out + grid_records() + serve_records() + cli_records()
 
 
 def main() -> int:
