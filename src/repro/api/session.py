@@ -77,6 +77,11 @@ class _CountingBackend(SamplerBackend):
         self._stats["sets_sampled"] += int(count)
         return self._inner.sample_batch_flat(count, rng, roots=roots)
 
+    def sample_batch_widths(self, count: int, rng=None):
+        self._stats["sample_batches"] += 1
+        self._stats["sets_sampled"] += int(count)
+        return self._inner.sample_batch_widths(count, rng)
+
     def close(self) -> None:
         self._inner.close()
 

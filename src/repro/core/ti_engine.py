@@ -394,37 +394,23 @@ class TIEngine:
     def _theta_for(self, state: _AdState, ad: int, s: int) -> int:
         """θ for seed-size estimate *s*: Eq. 8 at the ad's ``OPT_s`` bound.
 
-        Under ``opt_lower="kpt"``, a call with ``s > 1`` returns
-        ``theta_cap`` without asking KPT when θ is capped even at
-        :attr:`KPTEstimator.ceiling`, the largest bound KPT can return.
-        Skipping that call is exact, for two reasons:
-
-        * θ = min(⌈L⌉, cap) is non-increasing in ``opt_lower``, so if θ
-          is capped at the ceiling it is capped for every value KPT
-          could return;
-        * after ``estimate(1)``, ``estimate(s)`` never draws a width for
-          any ``s > 1``: κ(R) = 1 − (1 − w/m)^s is non-decreasing in
-          ``s`` elementwise, and so is each stage mean, so the stage
-          loop stops no later than it did for ``s = 1``, on widths
-          already drawn.
-
-        So the skip leaves θ and the ad's RNG stream untouched.  ``s = 1``
-        always asks KPT, because its width draws share the ad's
-        generator with the RR sets.  Invariant: every estimator's first
-        call is ``estimate(1)``.  :meth:`_init_states` sizes each ad at
-        ``s = 1`` right after handing it its estimator, which is new at
-        init, after a KPT-parameter change and after a mutation dropped
-        the old one (docs/ARCHITECTURE.md §5).
+        Under ``opt_lower="kpt"`` the bound is the ad's estimator's
+        ``estimate(s)``.  ``s = 1`` draws the widths, from the generator
+        the ad's RR sets share; after it, ``estimate(s)`` never draws a
+        width for any ``s > 1``: κ(R) = 1 − (1 − w/m)^s is
+        non-decreasing in ``s`` elementwise, and so is each stage mean,
+        so the stage loop stops no later than it did for ``s = 1``, on
+        widths already drawn.  That is what lets :meth:`_grow` skip
+        sizing an ad whose θ is at the cap without moving its RNG
+        stream.  Invariant: every estimator's first call is
+        ``estimate(1)``.  :meth:`_init_states` sizes each ad at ``s = 1``
+        right after handing it its estimator, which is new at init,
+        after a KPT-parameter change and after a mutation dropped the
+        old one (docs/ARCHITECTURE.md §5).
         """
         spec = self.spec
         n = self.instance.n
         if spec.opt_lower == "kpt":
-            if s > 1 and spec.theta_cap is not None:
-                theta = sample_size(
-                    n, s, spec.eps, spec.ell, state.group.kpt.ceiling, spec.theta_cap
-                )
-                if theta == spec.theta_cap:
-                    return theta
             opt_lower = state.group.kpt.estimate(s)
         elif isinstance(spec.opt_lower, tuple):
             opt_lower = spec.opt_lower[ad]
@@ -620,6 +606,10 @@ class TIEngine:
             state.done = True
             return
         state.s_est = s_new
+        if state.theta == self.spec.theta_cap:
+            # θ = min(⌈L⌉, cap) cannot grow past the cap, and after
+            # estimate(1) no KPT call draws a width: sizing is moot.
+            return
         theta_new = self._theta_for(state, ad, s_new)
         if theta_new > state.theta:
             self._adopt(state, theta_new)

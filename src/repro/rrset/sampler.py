@@ -35,6 +35,15 @@ per thread for the thread's life, grown to the largest ``chunk · n``
 it has sampled (so one chunk budget bounds it), and every call resets
 exactly the keys it set, also when it raises: no call allocates or
 zeroes a chunk-sized block.
+
+One private BFS core (``_reverse_bfs``) yields every frontier, and two
+assemblers consume it: :func:`sample_batch_flat_kernel` sorts the
+members into the set-major CSR pair that stores hold, and
+``_sample_batch_widths_kernel`` returns only each set's width for
+KPT.  A set's width is the number of coins its BFS flipped (every
+member's in-arcs are scanned once), so the widths are one weighted
+``bincount`` over the frontiers' in-degrees; both assemblers draw the
+same RNG stream.
 """
 
 from __future__ import annotations
@@ -148,6 +157,83 @@ def _reset(visited: np.ndarray, touched: list[np.ndarray]) -> None:
     touched.clear()
 
 
+def _reverse_bfs(
+    n: int,
+    in_indptr: np.ndarray,
+    in_tails: np.ndarray,
+    probs_in: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+    chunk_bytes: int,
+    roots: np.ndarray | None,
+):
+    """The level-synchronous reverse BFS that both assemblers consume.
+
+    Yields ``(sets, nodes, degs)`` once per BFS frontier, before that
+    frontier's coins are flipped: the global set id, node id and
+    in-degree of every frontier entry (``int64``).  Every member of every
+    set is yielded exactly once, in the frontier that discovered it
+    (roots first), and each frontier is expanded in full, so a set's
+    in-degrees summed over all frontiers are its coin flips — its width.
+    The yielded arrays are read-only for the consumer; ``nodes`` may be
+    a view of *roots*.  The visited bitmap is all False again when the
+    generator finishes or raises.  Callers handle ``count == 0``.
+    """
+    if roots is None:
+        roots = rng.integers(0, n, size=count).astype(np.int64)
+    else:
+        roots = np.ascontiguousarray(roots, dtype=np.int64)
+        if roots.shape != (count,):
+            raise EstimationError(
+                f"roots must have shape ({count},), got {roots.shape}"
+            )
+        if roots.size and (roots.min() < 0 or roots.max() >= n):
+            raise EstimationError(f"roots must lie in [0, {n})")
+
+    chunk = batch_chunk_size(n, count, chunk_bytes)
+    indeg = np.diff(in_indptr)
+    visited = _visited_bitmap(chunk * n)  # all False on entry and on exit
+    touched: list[np.ndarray] = []  # keys set in visited since the last reset
+    try:
+        for c0 in range(0, count, chunk):
+            c1 = min(c0 + chunk, count)
+            # Per-(set, node) visited keys, flat-indexed set*n + node.
+            fsets = np.arange(c1 - c0, dtype=np.int64)
+            fnodes = roots[c0:c1]
+            keys = fsets * n + fnodes
+            touched.append(keys)
+            visited[keys] = True
+            while True:
+                degs = indeg[fnodes]
+                yield fsets + c0, fnodes, degs
+                ends = np.cumsum(degs)
+                total = int(ends[-1])
+                if total == 0:
+                    break
+                # Ragged gather of every frontier node's in-arc slice.
+                eidx = np.repeat(in_indptr[fnodes] - (ends - degs), degs)
+                eidx += np.arange(total, dtype=np.int64)
+                hit = np.flatnonzero(rng.random(total) < probs_in[eidx])
+                # Set ids only for the arcs whose coin came up: arc j
+                # belongs to the first frontier entry whose end exceeds j.
+                cand = fsets[np.searchsorted(ends, hit, side="right")] * n
+                cand += in_tails[eidx[hit]]
+                keys = cand[~visited[cand]]  # drop already-visited pairs
+                if not keys.size:
+                    break
+                # Dedup within the level: sort, keep the first of each run
+                # of equal keys.  Same ascending unique keys as np.unique,
+                # without its hashing cost.
+                keys.sort()
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+                touched.append(keys)
+                visited[keys] = True
+                fsets, fnodes = np.divmod(keys, n)
+            _reset(visited, touched)
+    finally:
+        _reset(visited, touched)
+
+
 def sample_batch_flat_kernel(
     n: int,
     in_indptr: np.ndarray,
@@ -181,65 +267,13 @@ def sample_batch_flat_kernel(
     """
     if count == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    if roots is None:
-        roots = rng.integers(0, n, size=count).astype(np.int64)
-    else:
-        roots = np.ascontiguousarray(roots, dtype=np.int64)
-        if roots.shape != (count,):
-            raise EstimationError(
-                f"roots must have shape ({count},), got {roots.shape}"
-            )
-        if roots.size and (roots.min() < 0 or roots.max() >= n):
-            raise EstimationError(f"roots must lie in [0, {n})")
-
-    chunk = batch_chunk_size(n, count, chunk_bytes)
-    indeg = np.diff(in_indptr)
-    visited = _visited_bitmap(chunk * n)  # all False on entry and on exit
-    touched: list[np.ndarray] = []  # keys set in visited since the last reset
     member_sets: list[np.ndarray] = []  # global set id per member
     member_nodes: list[np.ndarray] = []
-    try:
-        for c0 in range(0, count, chunk):
-            c1 = min(c0 + chunk, count)
-            # Per-(set, node) visited keys, flat-indexed set*n + node.
-            fsets = np.arange(c1 - c0, dtype=np.int64)
-            fnodes = roots[c0:c1]
-            keys = fsets * n + fnodes
-            touched.append(keys)
-            visited[keys] = True
-            member_sets.append(fsets + c0)
-            member_nodes.append(fnodes.copy())
-            while fnodes.size:
-                degs = indeg[fnodes]
-                ends = np.cumsum(degs)
-                total = int(ends[-1])
-                if total == 0:
-                    break
-                # Ragged gather of every frontier node's in-arc slice.
-                eidx = np.repeat(in_indptr[fnodes] - (ends - degs), degs)
-                eidx += np.arange(total, dtype=np.int64)
-                hit = np.flatnonzero(rng.random(total) < probs_in[eidx])
-                # Set ids only for the arcs whose coin came up: arc j
-                # belongs to the first frontier entry whose end exceeds j.
-                cand = fsets[np.searchsorted(ends, hit, side="right")] * n
-                cand += in_tails[eidx[hit]]
-                keys = cand[~visited[cand]]  # drop already-visited pairs
-                if not keys.size:
-                    break
-                # Dedup within the level: sort, keep the first of each run
-                # of equal keys.  Same ascending unique keys as np.unique,
-                # without its hashing cost.
-                keys.sort()
-                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-                touched.append(keys)
-                visited[keys] = True
-                fsets, fnodes = np.divmod(keys, n)
-                member_sets.append(fsets + c0)
-                member_nodes.append(fnodes)
-            _reset(visited, touched)
-    finally:
-        _reset(visited, touched)
-
+    for sets, nodes, _ in _reverse_bfs(
+        n, in_indptr, in_tails, probs_in, count, rng, chunk_bytes, roots
+    ):
+        member_sets.append(sets)
+        member_nodes.append(nodes)
     all_sets = np.concatenate(member_sets)
     all_nodes = np.concatenate(member_nodes)
     # Stable sort by set id: members stay in per-level discovery order.
@@ -253,6 +287,39 @@ def sample_batch_flat_kernel(
         ([0], np.cumsum(np.bincount(all_sets, minlength=count)))
     ).astype(np.int64)
     return members, indptr
+
+
+def _sample_batch_widths_kernel(
+    n: int,
+    in_indptr: np.ndarray,
+    in_tails: np.ndarray,
+    probs_in: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+) -> np.ndarray:
+    """Per-set widths of *count* fresh RR sets, without assembling the sets.
+
+    Draws exactly what :func:`sample_batch_flat_kernel` draws, leaving
+    *rng* in the same state, and returns what :func:`batch_widths`
+    computes from that batch (``int64[count]``): one weighted
+    ``bincount`` of the frontiers' in-degrees by set id.
+    """
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    level_sets: list[np.ndarray] = []
+    level_degs: list[np.ndarray] = []
+    for sets, _, degs in _reverse_bfs(
+        n, in_indptr, in_tails, probs_in, count, rng, chunk_bytes, None
+    ):
+        level_sets.append(sets)
+        level_degs.append(degs)
+    widths = np.bincount(
+        np.concatenate(level_sets),
+        weights=np.concatenate(level_degs),
+        minlength=count,
+    )
+    return widths.astype(np.int64)
 
 
 class SamplerBackend(ABC):
@@ -291,7 +358,11 @@ class SamplerBackend(ABC):
 
         The width ``w(R)`` is the number of arcs pointing into members of
         ``R``; TIM's KPT estimation consumes it (Section 4.2 of [34]).
-        The member ids themselves are discarded.
+        The member ids themselves are discarded.  This is the reference
+        definition (:func:`batch_widths` over :meth:`sample_batch_flat`),
+        which :class:`~repro.rrset.backend.ParallelBackend` uses;
+        :class:`RRSampler` returns the same widths without assembling
+        the sets.
         """
         members, indptr = self.sample_batch_flat(count, rng)
         return batch_widths(self.graph.in_indptr, members, indptr)
@@ -376,18 +447,24 @@ class RRSampler(SamplerBackend):
         draw entirely (the stream then starts at the first coin-flip
         vector) — the incremental-maintenance resample path.
         """
+        return sample_batch_flat_kernel(
+            *self._kernel_args(count, rng), self._CHUNK_BYTES, roots
+        )
+
+    def sample_batch_widths(self, count: int, rng=None) -> np.ndarray:
+        """The base method's widths and RNG stream, via
+        ``_sample_batch_widths_kernel`` (no member arrays)."""
+        return _sample_batch_widths_kernel(
+            *self._kernel_args(count, rng), self._CHUNK_BYTES
+        )
+
+    def _kernel_args(self, count: int, rng) -> tuple:
+        """Check *count* and the graph; the kernels' leading arguments."""
         if count < 0:
             raise EstimationError(f"count must be non-negative, got {count}")
         rng = as_generator(rng)
         if self.graph.n == 0:
             raise EstimationError("cannot sample an RR set from an empty graph")
-        return sample_batch_flat_kernel(
-            self.graph.n,
-            self._in_indptr,
-            self._in_tails,
-            self.probs_in,
-            count,
-            rng,
-            self._CHUNK_BYTES,
-            roots,
+        return (
+            self.graph.n, self._in_indptr, self._in_tails, self.probs_in, count, rng
         )

@@ -19,14 +19,18 @@ adaptations (documented in docs/ARCHITECTURE.md §5):
 * a hard ``theta_cap`` bounds the sample size so pure-Python runs stay
   tractable; the cap widens confidence intervals.
 
-The cap also lets the engine skip KPT calls it makes moot: for
-``s > 1`` it does not ask KPT when θ is capped even at
-:attr:`KPTEstimator.ceiling`, the largest bound KPT can return.  That
-is exact because θ is non-increasing in the bound, and because after
-``estimate(1)`` no ``estimate(s)`` with ``s > 1`` draws a width (κ is
-non-decreasing in ``s``, so each stage loop stops no later than the
-``s = 1`` loop did).  ``s = 1`` always asks KPT: its width draws share
-the ad's generator with the RR sets.  See ``TIEngine._theta_for``.
+The cap also lets the engine skip KPT calls it makes moot: once an
+ad's θ equals the cap, growing its seed-size estimate asks KPT for
+nothing.  That is exact because θ never exceeds the cap, and because
+after ``estimate(1)`` no ``estimate(s)`` with ``s > 1`` draws a width
+(κ is non-decreasing in ``s``, so each stage loop stops no later than
+the ``s = 1`` loop did).  ``s = 1`` always asks KPT: its width draws
+share the ad's generator with the RR sets.  See ``TIEngine._grow``.
+
+Widths come from the sampler's ``sample_batch_widths``; the serial
+sampler computes them without assembling the sets (a width is the
+number of coins the set's BFS flipped), drawing the same RNG stream a
+member batch would.
 """
 
 from __future__ import annotations
@@ -104,15 +108,6 @@ class KPTEstimator:
         self.max_samples = int(max_samples)
         self._widths = np.empty(0, dtype=np.float64)
         self._cache: dict[int, float] = {}
-
-    @property
-    def ceiling(self) -> float:
-        """The largest value :meth:`estimate` can return, ``max(1, n / 2)``.
-
-        Every bound is ``max(1, n · mean / 2)`` over a mean of
-        ``κ(R) ≤ 1``, so no call, whatever ``s``, exceeds this.
-        """
-        return max(1.0, self.sampler.graph.n / 2.0)
 
     def _ensure_samples(self, count: int) -> None:
         count = min(count, self.max_samples)

@@ -85,6 +85,14 @@ from repro.serve.schema import QueryRequest, error_payload, result_payload
 #: Default bound on queued-but-unsolved queries (backpressure threshold).
 DEFAULT_QUEUE_SIZE = 16
 
+#: Largest ``POST /solve`` body read, in bytes; a query is a few hundred.
+#: A larger declared ``Content-Length`` answers 413 unread.
+MAX_BODY_BYTES = 64 * 1024
+
+#: Seconds a connection may stall a read or write before it is closed:
+#: a body shorter than its ``Content-Length`` cannot pin a handler thread.
+READ_TIMEOUT_S = 10.0
+
 #: What building a query's dataset entry or marketplace raises: query
 #: input at fault (400), found before the session solves.
 INPUT_ERRORS = (GraphError, InstanceError, SpecError, TopicModelError)
@@ -154,12 +162,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging goes through /stats counters, not stderr
 
-    def _write(self, status: int, payload: dict) -> None:
+    def _write(self, status: int, payload: dict, *, close: bool = False) -> None:
+        """Send *payload*; *close* ends the connection (its body is unread)."""
         body = json.dumps(payload).encode("utf-8")
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
@@ -178,11 +189,35 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if self.path != "/solve":
             self._write(404, error_payload("NotFound", f"no route {self.path!r}"))
             return
+        declared = self.headers.get("Content-Length") or "0"
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._write(
+                400,
+                error_payload("BadRequest", f"invalid Content-Length {declared!r}"),
+                close=True,
+            )
+            return
+        if length > MAX_BODY_BYTES:
+            self._write(
+                413,
+                error_payload(
+                    "PayloadTooLarge",
+                    f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
+                ),
+                close=True,
+            )
+            return
+        try:
             data = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError and bad UTF-8 included
             self._write(400, error_payload("BadRequest", f"invalid JSON body: {exc}"))
+            return
+        except RecursionError:
+            self._write(400, error_payload("BadRequest", "JSON body nested too deep"))
             return
         status, payload = self.repro_server.submit(data)
         self._write(status, payload)
@@ -214,7 +249,11 @@ class ReproServer:
         }
         # One handler subclass per server so concurrent servers (tests)
         # never share mutable class state.
-        handler = type("_BoundHandler", (_RequestHandler,), {"repro_server": self})
+        handler = type(
+            "_BoundHandler",
+            (_RequestHandler,),
+            {"repro_server": self, "timeout": READ_TIMEOUT_S},
+        )
         self._http = ThreadingHTTPServer(
             (self.config.host, self.config.port), handler
         )
@@ -344,9 +383,14 @@ class ReproServer:
         finally:
             self.shutdown()
 
+    def _solve_error(self, job: _Job, status: int, exc: Exception) -> None:
+        """Answer *job* with *exc* as a counted solve error."""
+        with self._counter_lock:
+            self.counters["solve_errors"] += 1
+        job.respond(status, error_payload(type(exc).__name__, str(exc)))
+
     def _process_job(self, job: _Job) -> None:
         request = job.request
-        key = request.pool_key
         waited = time.monotonic() - job.enqueued
         timeout = self.config.query_timeout_s
         if timeout is not None and waited >= timeout:
@@ -363,11 +407,18 @@ class ReproServer:
                 ),
             )
             return
-        plan = _faults.active_fault_plan()
-        if plan is not None:
-            rule = plan.fire("serve.delay", key=key)
-            if rule is not None and rule.delay_s:
-                time.sleep(rule.delay_s)
+        try:
+            # Whatever raises before the lease answers this query and the
+            # loop goes on; the stall sleeps outside the pool lock.
+            key = request.pool_key
+            plan = _faults.active_fault_plan()
+            if plan is not None:
+                rule = plan.fire("serve.delay", key=key)
+                if rule is not None and rule.delay_s:
+                    time.sleep(rule.delay_s)
+        except Exception as exc:
+            self._solve_error(job, 500, exc)
+            return
         from repro.experiments.grid import _cell_deadline
 
         remaining = None if timeout is None else max(timeout - waited, 1e-3)
@@ -406,9 +457,7 @@ class ReproServer:
                     # (its warm state is suspect).
                     self.pool.discard(key)
                     status = 500
-                with self._counter_lock:
-                    self.counters["solve_errors"] += 1
-                job.respond(status, error_payload(type(exc).__name__, str(exc)))
+                self._solve_error(job, status, exc)
                 return
             after = entry.session.stats
             evicted = self.pool.release(key)

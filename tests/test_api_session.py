@@ -8,6 +8,7 @@ from repro.core.ads import Advertiser
 from repro.core.instance import RMInstance
 from repro.errors import AllocationError
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import erdos_renyi
 from repro.graph.updates import compile_updates
 
 from tests.conftest import make_tiny_instance
@@ -214,6 +215,34 @@ class TestStoreFor:
             assert session.store_for(plan.apply_probs(old)) is store
             with pytest.raises(AllocationError, match="no RR store"):
                 session.store_for(old)
+
+
+class TestSampleCounters:
+    @pytest.mark.parametrize(
+        "workers, cap, counts", [(None, 120, (5, 635)), (2, 1000, (5, 1515))],
+        ids=["serial", "workers=2"],
+    )
+    def test_kpt_priced_solve_counts_width_draws(self, workers, cap, counts):
+        """KPT's width draws count as sampled sets, one batch per stage
+        draw, whether or not the sampler assembles their sets: one store
+        fill plus four stage draws of 515 sets in all."""
+        g = erdos_renyi(40, 0.08, seed=0)
+        rng = np.random.default_rng(1)
+        inst = RMInstance(
+            g,
+            [Advertiser(index=i, cpe=1.0, budget=30.0) for i in range(3)],
+            [np.full(g.m, 0.3) for _ in range(3)],
+            [rng.uniform(0.1, 1.0, size=40) for _ in range(3)],
+        )
+        spec = EngineSpec(eps=0.8, theta_cap=cap, opt_lower="kpt", seed=4,
+                          workers=workers)
+        with AllocationSession(inst.graph, spec=spec) as session:
+            session.solve(inst)
+            stats = session.stats
+            (group,) = session._warm.stores.values()
+            assert (stats["sample_batches"], stats["sets_sampled"]) == counts
+            assert group.kpt._widths.size == 515
+            assert stats["sets_sampled"] == group.store.size + 515
 
 
 class TestAdaptiveReuse:

@@ -184,9 +184,9 @@ class TestModes:
 class TestKPTCalls:
     """Which ``KPTEstimator.estimate`` calls the engine makes.
 
-    θ sizing skips a KPT call at ``s > 1`` when the cap binds even at
-    KPT's ceiling; that is exact only because every estimator is first
-    asked for ``s = 1`` (see ``TIEngine._theta_for``).
+    Once an ad's θ equals the cap, growing its seed size asks KPT for
+    nothing; that is exact only because every estimator is first asked
+    for ``s = 1`` (see ``TIEngine._theta_for``).
     """
 
     @staticmethod
@@ -243,8 +243,8 @@ class TestKPTCalls:
 
     @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
     def test_cap_binding_at_ceiling_asks_only_s1(self, monkeypatch, share):
-        # n = 40: at s = 1 and KPT's ceiling n / 2 = 20, Eq. 8 gives
-        # θ ≈ 242 > 50, so the cap binds whatever KPT returns.
+        # n = 40: at s = 1 and KPT's largest bound n / 2 = 20, Eq. 8
+        # gives θ ≈ 242 > 50, so the cap binds whatever KPT returns.
         calls = self._spy(monkeypatch)
         inst = small_instance(h=2)
         result = solve(inst, "TI-CSRM", EngineSpec(eps=0.8, theta_cap=50, opt_lower="kpt",
@@ -253,6 +253,29 @@ class TestKPTCalls:
         # The seed size did grow, so calls at s > 1 were skipped.
         assert max(result.extras["seed_size_estimate_per_ad"]) > 1
         assert result.extras["theta_per_ad"] == [50, 50]
+
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_capped_theta_asks_no_s_above_1(self, monkeypatch, share):
+        """Once an ad's θ equals the cap, ``_grow`` sizes nothing.
+
+        KPT bounds OPT_1 near 2 here, so Eq. 8 caps θ at 1,000 from the
+        start, though a bound as large as KPT can return (n / 2 = 20)
+        would leave θ below 1,000 for every seed size reached (θ ≈ 830
+        at s = 13).  Uncapped, the same solve asks KPT for the grown
+        seed sizes.
+        """
+        calls = self._spy(monkeypatch)
+        inst = small_instance(h=2, budget=30.0)
+        spec = EngineSpec(eps=0.8, theta_cap=1000, opt_lower="kpt", seed=5,
+                          share_samples=share)
+        result = solve(inst, "TI-CSRM", spec)
+        assert result.extras["theta_per_ad"] == [1000, 1000]
+        assert max(result.extras["seed_size_estimate_per_ad"]) > 2
+        assert {s for _, s in calls} == {1}
+        calls.clear()
+        uncapped = solve(inst, "TI-CSRM", spec.override(theta_cap=None))
+        assert min(uncapped.extras["theta_per_ad"]) > 1000
+        assert any(s > 1 for _, s in calls)
 
 
 class TestNaming:

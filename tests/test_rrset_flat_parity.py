@@ -39,9 +39,11 @@ from repro.rrset import sampler as sampler_module
 from repro.rrset.sampler import (
     DEFAULT_CHUNK_BYTES,
     RRSampler,
+    batch_widths,
+    _sample_batch_widths_kernel,
     sample_batch_flat_kernel,
 )
-from repro.topics.edge_probs import weighted_cascade
+from repro.topics.edge_probs import random_tic_model, weighted_cascade
 from tests.conftest import flat_sets
 
 
@@ -113,10 +115,16 @@ def reference_batch_flat(sampler, count, rng, roots=None):
 
 
 def _parity_sampler(n, density, seed, p):
-    """An ER graph with uniform arc probability *p*, or Weighted-Cascade
-    probabilities (``1 / in-degree`` of each arc's head) for ``"wc"``."""
+    """An ER graph with uniform arc probability *p*, Weighted-Cascade
+    probabilities (``1 / in-degree`` of each arc's head) for ``"wc"``, or
+    one topic of a random TIC model for ``"tic"``."""
     g = erdos_renyi(n, density, seed=seed)
-    return RRSampler(g, weighted_cascade(g) if p == "wc" else np.full(g.m, p))
+    if p == "wc":
+        return RRSampler(g, weighted_cascade(g))
+    if p == "tic":
+        model = random_tic_model(g, 3, seed=seed, levels=(0.4, 0.1, 0.01))
+        return RRSampler(g, model.topic_probabilities(0))
+    return RRSampler(g, np.full(g.m, p))
 
 
 class TestSamplerParity:
@@ -180,6 +188,34 @@ class TestSamplerParity:
                         closure.add(int(u))
                         stack.append(int(u))
             assert set(rr.tolist()) <= closure
+
+
+class TestWidthsParity:
+    """The widths assembler returns, set for set, ``batch_widths`` of the
+    member batch the same seed draws, and leaves the generator where
+    that draw leaves it."""
+
+    @pytest.mark.parametrize(
+        "density, p", [(0.5, "wc"), (0.5, "tic"), (0.5, 0.3)],
+        ids=["wc", "tic", "dense-er"],
+    )
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "chunks-of-7"])
+    @pytest.mark.parametrize("count", [0, 1, 50])
+    def test_widths_match_member_batch(self, monkeypatch, density, p, chunk, count):
+        n = 40
+        if chunk is not None:
+            monkeypatch.setattr(RRSampler, "_CHUNK_BYTES", n * chunk)
+        sampler = _parity_sampler(n, density, 5, p)
+        members_rng = np.random.default_rng(13)
+        members, indptr = sampler.sample_batch_flat(count, members_rng)
+        widths_rng = np.random.default_rng(13)
+        widths = sampler.sample_batch_widths(count, widths_rng)
+        expected = batch_widths(sampler.graph.in_indptr, members, indptr)
+        assert widths.dtype == expected.dtype == np.int64
+        assert widths.tolist() == expected.tolist()
+        assert widths_rng.bit_generator.state == members_rng.bit_generator.state
+        if count == 50:
+            assert expected.max() > 0 and indptr[-1] > count  # sets grew
 
 
 def _assert_same_batch(a, b):
@@ -261,6 +297,22 @@ class TestVisitedBitmapReuse:
         fast = sampler.sample_batch_flat(30, np.random.default_rng(3))
         ref = reference_batch_flat(sampler, 30, np.random.default_rng(3))
         _assert_same_batch(fast, ref)
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 4, 9])
+    def test_widths_failure_leaves_bitmap_clean(self, monkeypatch, fail_at):
+        """The widths assembler runs the same BFS, so a failure there
+        must hand the bitmap back all False too."""
+        monkeypatch.setattr(RRSampler, "_CHUNK_BYTES", 40 * 7)
+        sampler = _parity_sampler(40, 0.5, 6, 0.4)
+        with pytest.raises(RuntimeError, match="mid-level"):
+            _sample_batch_widths_kernel(
+                40, sampler._in_indptr, sampler._in_tails, sampler.probs_in,
+                30, _RaisingGenerator(3, fail_at), RRSampler._CHUNK_BYTES,
+            )
+        assert not _bitmap().any()
+        widths = sampler.sample_batch_widths(30, np.random.default_rng(3))
+        ref = reference_batch_flat(sampler, 30, np.random.default_rng(3))
+        assert widths.tolist() == batch_widths(sampler._in_indptr, *ref).tolist()
 
     def test_concurrent_threads_match_serial(self):
         """Two threads sampling at once each get their own bitmap and

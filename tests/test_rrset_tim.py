@@ -119,17 +119,19 @@ def test_estimate_past_s1_draws_nothing(n, arc_p, prob_scale, seed, max_samples,
     κ is non-decreasing in ``s``, so their stage loops stop no later
     than the ``s = 1`` loop: no width is drawn and the generator is
     untouched.  This is what lets the engine skip KPT calls whose θ the
-    cap fixes anyway.  Every bound stays within :attr:`ceiling`.
+    cap fixes anyway.  Every bound is ``max(1, n · mean / 2)`` over a
+    mean of κ ≤ 1, so none exceeds ``max(1, n / 2)``.
     """
     g = erdos_renyi(n, arc_p, seed=seed)
     probs = np.random.default_rng(seed + 1).random(g.m) * prob_scale
     kpt = KPTEstimator(RRSampler(g, probs), rng=seed, max_samples=max_samples)
-    assert 1.0 <= kpt.estimate(1) <= kpt.ceiling
+    ceiling = max(1.0, n / 2.0)
+    assert 1.0 <= kpt.estimate(1) <= ceiling
     drawn = kpt._widths.size
     state = kpt.rng.bit_generator.state
     s = 1
     for step in steps:
         s += step
-        assert 1.0 <= kpt.estimate(s) <= kpt.ceiling
+        assert 1.0 <= kpt.estimate(s) <= ceiling
         assert kpt._widths.size == drawn
         assert kpt.rng.bit_generator.state == state

@@ -92,10 +92,10 @@ GOLDEN = {
 #: KPT-priced runs of the same instance and seed (``opt_lower="kpt"``),
 #: keyed by ``theta_cap`` then storage.  KPT's width draws share each
 #: ad's RNG stream with its RR sets, so these pin the estimator's draws
-#: and the engine's θ sizing together.  At cap 120, θ is capped at KPT's
-#: ceiling from ``s = 1``; at cap 500 only at larger ``s`` (so the
-#: engine skips the moot KPT calls while ``s = 1`` still asks KPT);
-#: uncapped, θ follows every KPT bound.
+#: and the engine's θ sizing together.  At caps 120 and 500, θ is capped
+#: from ``s = 1`` (at 120 whatever KPT returns, at 500 on KPT's bound),
+#: so the engine asks KPT for ``s = 1`` only; uncapped, θ follows every
+#: KPT bound.
 KPT_GOLDEN = {
     "TI-CARM": {
         120: {

@@ -16,7 +16,9 @@ Covers the PR's acceptance criteria end to end:
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -41,6 +43,7 @@ from repro.serve import (
     result_payload,
 )
 from repro.serve import client as serve_client
+from repro.serve import server as server_module
 from tests.conftest import JSON_VALUES
 
 #: Cheap estimator settings: every serve test solves tiny analogs.
@@ -542,6 +545,132 @@ class TestHostileQueries:
         assert _comparable(again) == _comparable(first)
 
 
+def _raw_post(address: str, body: bytes, *, length: str, wait: float = 10.0):
+    """``POST /solve`` with a hand-written ``Content-Length``, over a raw
+    socket; ``(status, payload)``, or ``None`` if the daemon closed the
+    connection unanswered.  Raises ``TimeoutError`` when no answer and no
+    close came within *wait* seconds."""
+    host, port = address.rsplit(":", 1)
+    head = (
+        f"POST /solve HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+    ).encode()
+    with socket.create_connection((host, int(port)), timeout=wait) as sock:
+        sock.sendall(head + body)
+        response = http.client.HTTPResponse(sock)
+        try:
+            response.begin()
+        except http.client.RemoteDisconnected:
+            return None
+        return response.status, json.loads(response.read())
+
+
+class TestHttpLimits:
+    """The HTTP shim bounds what a client can make a handler thread do:
+    every request below is answered, or its connection closed, within
+    the read timeout, and the daemon answers ``/healthz`` afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def _short_timeout(self, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.5)
+
+    def test_bad_content_length_answers_400(self):
+        with running_server() as server:
+            for length in ("-1", "abc"):
+                status, payload = _raw_post(server.address, b"{}", length=length)
+                assert (status, payload["error_type"]) == (400, "BadRequest")
+                assert "Content-Length" in payload["error"]
+            assert serve_client.healthz(server.address)["status"] == "ok"
+
+    def test_oversized_body_answers_413_unread(self):
+        with running_server() as server:
+            declared = server_module.MAX_BODY_BYTES + 1
+            status, payload = _raw_post(server.address, b"{}", length=str(declared))
+            assert (status, payload["error_type"]) == (413, "PayloadTooLarge")
+            assert serve_client.healthz(server.address)["status"] == "ok"
+
+    def test_short_body_closed_after_the_read_timeout(self):
+        """10 bytes declared, 2 sent: the handler's read times out and
+        closes the connection instead of waiting forever."""
+        with running_server() as server:
+            started = time.monotonic()
+            assert _raw_post(server.address, b"{}", length="10", wait=5.0) is None
+            assert time.monotonic() - started < 5.0
+            assert serve_client.healthz(server.address)["status"] == "ok"
+
+    def test_deep_json_answers_400(self):
+        body = b"[" * 20_000 + b"]" * 20_000
+        assert len(body) <= server_module.MAX_BODY_BYTES
+        with running_server() as server:
+            status, payload = _raw_post(server.address, body, length=str(len(body)))
+            assert (status, payload["error_type"]) == (400, "BadRequest")
+            assert serve_client.healthz(server.address)["status"] == "ok"
+
+
+class _RaisingPlan:
+    """A fault plan whose ``serve.delay`` seam raises once, when armed."""
+
+    def __init__(self) -> None:
+        self.armed = False
+
+    def fire(self, seam, key=None):
+        if seam == "serve.delay" and self.armed:
+            self.armed = False
+            raise RuntimeError(f"{seam} failed")
+        return None
+
+
+class TestSolverLoopSurvives:
+    """Whatever raises before the lease answers its query 500, counts one
+    solve error, and the solver loop goes on to the next query; the
+    query leased nothing, so the warm session stays pooled."""
+
+    @staticmethod
+    def _submit_within(server, query, wait: float = 30.0):
+        outcome: list = []
+        thread = threading.Thread(
+            target=lambda: outcome.append(server.submit(query)), daemon=True
+        )
+        thread.start()
+        thread.join(wait)
+        assert outcome, "query never answered: the solver loop stopped"
+        return outcome[0]
+
+    def _check(self, server, arm):
+        """A warm-up query, one that raises once *arm* has run, then a
+        warm hit on the session the warm-up opened."""
+        query = {"dataset": dict(ENTRY), "seed": 1}
+        assert self._submit_within(server, query)[0] == 200
+        arm()
+        status, payload = self._submit_within(server, query)
+        assert (status, payload["error_type"]) == (500, "RuntimeError")
+        assert server.counters["solve_errors"] == 1
+        status, payload = self._submit_within(server, query)
+        assert status == 200 and payload["serve"]["warm_session"] is True
+        assert server.pool.counters["discards"] == 0
+
+    def test_pool_key_raising_answers_500(self, monkeypatch):
+        original = QueryRequest.pool_key
+        failures: list[Exception] = []
+
+        def pool_key(request):
+            if failures:
+                raise failures.pop()
+            return original.fget(request)
+
+        monkeypatch.setattr(QueryRequest, "pool_key", property(pool_key))
+        with running_server() as server:
+            self._check(
+                server, lambda: failures.append(RuntimeError("pool key unreadable"))
+            )
+
+    def test_fault_seam_raising_answers_500(self, monkeypatch):
+        plan = _RaisingPlan()
+        monkeypatch.setattr(server_module._faults, "active_fault_plan", lambda: plan)
+        with running_server() as server:
+            self._check(server, lambda: setattr(plan, "armed", True))
+
+
 # ----------------------------------------------------------------------
 # Admission: backpressure, fault seams, drain
 # ----------------------------------------------------------------------
@@ -580,6 +709,28 @@ class TestAdmission:
             second.join(timeout=60)
             assert statuses == [200, 200]
             assert server.counters["admission_rejects"] == 1
+
+    def test_delay_seam_leaves_stats_answering(self):
+        """The ``serve.delay`` stall sleeps outside the pool lock, so
+        ``/stats`` answers while the solver is stalled."""
+        plan = FaultPlan(
+            [FaultRule(seam="serve.delay", at=0, delay_s=2.0)], seed=0
+        )
+        with running_server() as server, fault_plan(plan):
+            query = {"dataset": dict(ENTRY), "seed": 1}
+            stalled = threading.Thread(target=lambda: server.submit(query))
+            stalled.start()
+            deadline = time.monotonic() + 5
+            while (
+                plan.stats.get("serve.delay", {}).get("arrivals", 0) < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)  # solver dequeued the query: stalled
+            started = time.monotonic()
+            server.stats_payload()
+            assert time.monotonic() - started < 1.0
+            stalled.join(timeout=60)
+            assert not stalled.is_alive()
 
     def test_serve_reject_fault_seam(self):
         plan = FaultPlan([FaultRule(seam="serve.reject", at=0)], seed=0)

@@ -31,6 +31,17 @@ Usage: ``python tools/solve_digest.py [--out records.json] [repo_root]``.
 The script puts ``<root>/src`` on ``sys.path`` itself, so a checkout of
 another commit is compared by passing its root.  It takes a few seconds
 on two cores and starts two-worker pools.
+
+``python tools/solve_digest.py --against REV`` makes the comparison
+itself: it extracts commit REV of this repository with ``git archive``
+into a temporary directory and runs this script over this tree's root
+and over REV's in separate processes.  When this script cannot run over
+REV (a record it added needs code REV lacks), REV's own script digests
+REV instead.  It prints both digest lines, the labels of the records
+only one side has, and the label of every shared record whose hash
+differs.  It exits 0 when every shared record is equal (so a change
+that only adds or removes records passes), 1 when one differs or no
+record is shared, and 2 when REV cannot be extracted or run.
 """
 
 from __future__ import annotations
@@ -41,7 +52,9 @@ import hashlib
 import io
 import json
 import re
+import subprocess
 import sys
+import tarfile
 import tempfile
 import threading
 from pathlib import Path
@@ -49,8 +62,81 @@ from pathlib import Path
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("root", nargs="?", default=None, help="repository root")
 parser.add_argument("--out", default=None, help="write the records as JSON here")
+parser.add_argument(
+    "--against", metavar="REV", default=None,
+    help="compare this tree's digest with commit REV's (exit 1 if they differ)",
+)
 ARGS = parser.parse_args()
 ROOT = Path(ARGS.root).resolve() if ARGS.root else Path(__file__).resolve().parents[1]
+
+
+def _digest_lines(root: Path, script: Path | None = None) -> list[str] | None:
+    """*script*'s output over *root* (this script by default), run in a
+    fresh process; ``None`` when it fails."""
+    script = script or Path(__file__).resolve()
+    run = subprocess.run(
+        [sys.executable, str(script), str(root)], capture_output=True, text=True
+    )
+    if run.returncode != 0:
+        sys.stderr.write(run.stderr)
+        return None
+    return run.stdout.splitlines()
+
+
+def _record_hashes(lines: list[str]) -> dict[str, str]:
+    """Label -> hash of the ``<sha256> <label>`` lines after the digest."""
+    return {label: h for h, label in (line.split(" ", 1) for line in lines[1:])}
+
+
+def against(rev: str) -> int:
+    """Compare this tree's digest with commit *rev*'s; the exit code."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True
+    )
+    if archive.returncode != 0:
+        sys.stderr.write(archive.stderr.decode(errors="replace"))
+        print(f"cannot extract {rev!r}")
+        return 2
+    ours = _digest_lines(ROOT)
+    if ours is None:
+        print("this tree cannot be run")
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        theirs = _digest_lines(Path(tmp))
+        own = Path(tmp) / "tools" / "solve_digest.py"
+        if theirs is None and own.exists():
+            # Records this tree added may need code REV lacks: compare
+            # with what REV's own script records.
+            print(f"this tree's digest cannot run on {rev}; using {rev}'s own")
+            theirs = _digest_lines(Path(tmp), own)
+    if theirs is None:
+        print(f"{rev} cannot be run")
+        return 2
+    print(f"this tree: {ours[0]}")
+    print(f"{rev}: {theirs[0]}")
+    mine, other = _record_hashes(ours), _record_hashes(theirs)
+    shared = [label for label in mine if label in other]
+    report = {
+        "only in this tree": [label for label in mine if label not in other],
+        f"only in {rev}": [label for label in other if label not in mine],
+        "differ": [label for label in shared if mine[label] != other[label]],
+    }
+    for title, labels in report.items():
+        if labels:
+            print(f"{title}: {len(labels)} records")
+            for label in labels:
+                print(f"  {label}")
+    if report["differ"] or not shared:
+        return 1
+    print(f"equal: {len(shared)} shared records")
+    return 0
+
+
+if ARGS.against is not None:
+    sys.exit(against(ARGS.against))
+
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
